@@ -8,6 +8,7 @@ paper-vs-measured report (captured with ``pytest benchmarks/
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,8 @@ from repro.sgml import SgmlModelSet, SgmlProcessor
 
 #: Scalability sweep results keyed by substation count (int) or named
 #: sweep point (str, e.g. ``"5_event_storm"``); the sweep bench fills this
-#: via :func:`record_scalability_result` and the session-finish hook
-#: persists it so later PRs can track the perf trajectory.
+#: via :func:`record_scalability_result` and, under ``BENCH_RECORD=1``,
+#: the session-finish hook persists it to track the perf trajectory.
 SCALABILITY_RESULTS: dict = {}
 
 _BENCH_JSON = Path(__file__).with_name("BENCH_scalability.json")
@@ -29,9 +30,12 @@ def record_scalability_result(point, result: dict) -> None:
 
 
 def pytest_sessionfinish(session, exitstatus) -> None:
-    # Only persist from a green session, and merge into the existing file
-    # so a partial sweep (-k filter, interrupted run) never clobbers the
-    # full trajectory recorded by an earlier complete run.
+    # Only persist on request (BENCH_RECORD=1: a plain test run leaves the
+    # committed file alone), only from a green session, and merged into the
+    # existing file so a partial sweep (-k filter, interrupted run) never
+    # clobbers the full trajectory recorded by an earlier complete run.
+    if os.environ.get("BENCH_RECORD") != "1":
+        return
     if not SCALABILITY_RESULTS or exitstatus != 0:
         return
     payload: dict[str, dict] = {}

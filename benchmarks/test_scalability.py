@@ -41,7 +41,7 @@ solve per tick — the worst case for the cache layers — and must stay
 real-time feasible and within 2x the seed solver's steady-state tick cost.
 
 Results are persisted to ``BENCH_scalability.json`` by the conftest
-session-finish hook.
+session-finish hook when ``BENCH_RECORD=1`` is set.
 """
 
 import os

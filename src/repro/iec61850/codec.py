@@ -31,11 +31,14 @@ TAG_SEQUENCE = 0x30
 TAG_MAP = 0x31
 
 
+_unpack_float = struct.Struct(">d").unpack_from
+
+
 class CodecError(Exception):
     """Raised on malformed TLV input."""
 
 
-def memoize_by_identity(decode, slots: int = 1):
+def memoize_by_identity(decode, slots: int = 8):
     """Decode memo of ``slots`` entries keyed by payload *identity*.
 
     A multicast frame is delivered to every subscriber with the *same*
@@ -43,27 +46,12 @@ def memoize_by_identity(decode, slots: int = 1):
     decode happen once per frame instead of once per receiver.  With the
     batched receive path several frames (distinct payloads) land on a host
     in one kernel event, interleaving subscribers across payloads — a
-    batch-sized memo (``slots > 1``) keeps every payload of the batch
-    cached across the whole dispatch loop.  Safe by construction: the memo
-    retains the bytes references (so ``id()`` reuse is impossible while
-    cached), bytes are immutable, and callers treat decoded messages as
-    read-only.  Failed decodes are not cached; eviction is FIFO.
+    batch-sized memo keeps every payload of the batch cached across the
+    whole dispatch loop.  Safe by construction: the memo retains the bytes
+    references (so ``id()`` reuse is impossible while cached), bytes are
+    immutable, and callers treat decoded messages as read-only.  Failed
+    decodes are not cached; eviction is FIFO.
     """
-    if slots <= 1:
-        last_payload = None
-        last_result = None
-
-        def memoized(payload):
-            nonlocal last_payload, last_result
-            if payload is last_payload:
-                return last_result
-            result = decode(payload)
-            last_payload = payload
-            last_result = result
-            return result
-
-        return memoized
-
     cache: dict[int, tuple[Any, Any]] = {}
 
     def memoized(payload):
@@ -109,12 +97,35 @@ def encode_value(value: Any) -> bytes:
 
 def decode_value(data: bytes) -> Any:
     """Decode TLV bytes produced by :func:`encode_value`."""
-    value, consumed = _decode_at(data, 0)
+    try:
+        value, consumed = _decode_at(data, 0, len(data))
+    except RecursionError:
+        raise CodecError("containers nested too deeply") from None
     if consumed != len(data):
         raise CodecError(
             f"trailing bytes after value: consumed {consumed} of {len(data)}"
         )
     return value
+
+
+def typed_fields(mapping: dict, schema: tuple) -> list:
+    """``mapping``'s values for ``schema``'s ``(key, kind, default)`` fields.
+
+    PDU decoders read attacker-reachable fields through this, so a
+    well-formed map with a mistyped field raises :class:`CodecError` (which
+    receivers count and drop) rather than ``TypeError``/``ValueError``.
+    Types must match exactly (``bool`` is no ``int``); lists are copied.
+    """
+    values = []
+    for key, kind, default in schema:
+        value = mapping.get(key, default)
+        if type(value) is not kind:
+            raise CodecError(
+                f"field {key!r} must be {kind.__name__}, "
+                f"got {type(value).__name__}"
+            )
+        values.append(list(value) if kind is list else value)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -136,66 +147,67 @@ def _encode_int(value: int) -> bytes:
     return value.to_bytes(length, "big", signed=True)
 
 
-def _decode_length(data: bytes, offset: int) -> tuple[int, int]:
-    if offset >= len(data):
-        raise CodecError("truncated length")
-    first = data[offset]
-    if first < 0x80:
-        return first, offset + 1
-    count = first & 0x7F
-    end = offset + 1 + count
-    if count == 0 or end > len(data):
-        raise CodecError("malformed long-form length")
-    return int.from_bytes(data[offset + 1 : end], "big"), end
-
-
-def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
-    if offset >= len(data):
+def _decode_at(data: bytes, offset: int, end: int) -> tuple[Any, int]:
+    """Decode the value at ``offset``; it must end by ``end`` (the
+    enclosing container's end), so containers decode in place, unsliced."""
+    if offset + 1 >= end:
         raise CodecError("truncated value")
     tag = data[offset]
-    length, body_start = _decode_length(data, offset + 1)
-    body_end = body_start + length
-    if body_end > len(data):
+    length = data[offset + 1]
+    start = offset + 2
+    if length >= 0x80:  # long form: 0x80 | n, then n big-endian bytes
+        count = length & 0x7F
+        start += count
+        if count == 0 or start > end:
+            raise CodecError("malformed long-form length")
+        length = int.from_bytes(data[offset + 2 : start], "big")
+    stop = start + length
+    if stop > end:
         raise CodecError(f"value body extends past buffer (tag 0x{tag:02x})")
-    body = data[body_start:body_end]
-    if tag == TAG_NULL:
-        if body:
-            raise CodecError("null with non-empty body")
-        return None, body_end
-    if tag == TAG_BOOL:
-        if len(body) != 1:
-            raise CodecError("bool body must be a single byte")
-        return body[0] != 0, body_end
-    if tag == TAG_INT:
-        if not body:
-            raise CodecError("empty integer body")
-        return int.from_bytes(body, "big", signed=True), body_end
-    if tag == TAG_FLOAT:
-        if len(body) != 8:
-            raise CodecError("float body must be 8 bytes")
-        return struct.unpack(">d", body)[0], body_end
-    if tag == TAG_OCTETS:
-        return body, body_end
     if tag == TAG_STRING:
         try:
-            return body.decode("utf-8"), body_end
+            return data[start:stop].decode("utf-8"), stop
         except UnicodeDecodeError as exc:
             raise CodecError(f"invalid UTF-8 string: {exc}") from exc
-    if tag == TAG_SEQUENCE:
-        items = []
-        cursor = 0
-        while cursor < len(body):
-            item, cursor = _decode_at(body, cursor)
-            items.append(item)
-        return items, body_end
+    if tag == TAG_INT:
+        if not length:
+            raise CodecError("empty integer body")
+        return int.from_bytes(data[start:stop], "big", signed=True), stop
     if tag == TAG_MAP:
         mapping = {}
-        cursor = 0
-        while cursor < len(body):
-            key, cursor = _decode_at(body, cursor)
-            if not isinstance(key, str):
+        while start < stop:
+            if data[start] != TAG_STRING:
                 raise CodecError("map key is not a string")
-            value, cursor = _decode_at(body, cursor)
-            mapping[key] = value
-        return mapping, body_end
+            # Keys are short strings: decoded inline, saving a call each.
+            key_stop = start + 2 + data[start + 1] if start + 1 < stop else stop + 1
+            if key_stop <= stop and data[start + 1] < 0x80:
+                try:
+                    key = data[start + 2 : key_stop].decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CodecError(f"invalid UTF-8 string: {exc}") from exc
+                start = key_stop
+            else:  # long-form or truncated: the general path handles it
+                key, start = _decode_at(data, start, stop)
+            mapping[key], start = _decode_at(data, start, stop)
+        return mapping, stop
+    if tag == TAG_FLOAT:
+        if length != 8:
+            raise CodecError("float body must be 8 bytes")
+        return _unpack_float(data, start)[0], stop
+    if tag == TAG_SEQUENCE:
+        items = []
+        while start < stop:
+            item, start = _decode_at(data, start, stop)
+            items.append(item)
+        return items, stop
+    if tag == TAG_OCTETS:
+        return data[start:stop], stop
+    if tag == TAG_BOOL:
+        if length != 1:
+            raise CodecError("bool body must be a single byte")
+        return data[start] != 0, stop
+    if tag == TAG_NULL:
+        if length:
+            raise CodecError("null with non-empty body")
+        return None, stop
     raise CodecError(f"unknown tag 0x{tag:02x}")

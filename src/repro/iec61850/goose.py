@@ -13,14 +13,19 @@ the IEC 61850-8-1 state machine:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.iec61850.codec import (
+    TAG_INT,
+    TAG_MAP,
     CodecError,
+    _encode_int,
+    _tlv,
     decode_value,
     encode_value,
     memoize_by_identity,
+    typed_fields,
 )
 from repro.kernel import MS, SECOND, Simulator
 from repro.netem.frames import ETHERTYPE_GOOSE, EthernetFrame
@@ -71,18 +76,16 @@ class GooseMessage:
         decoded = decode_value(data)
         if not isinstance(decoded, dict):
             raise CodecError("GOOSE payload is not a map")
-        return cls(
-            gocb_ref=decoded.get("gocbRef", ""),
-            dat_set=decoded.get("datSet", ""),
-            go_id=decoded.get("goID", ""),
-            st_num=int(decoded.get("stNum", 0)),
-            sq_num=int(decoded.get("sqNum", 0)),
-            time_allowed_to_live_ms=int(decoded.get("timeAllowedtoLive", 0)),
-            test=bool(decoded.get("test", False)),
-            conf_rev=int(decoded.get("confRev", 1)),
-            timestamp_us=int(decoded.get("t", 0)),
-            all_data=list(decoded.get("allData", [])),
-        )
+        return cls(*typed_fields(decoded, _FIELDS))
+
+
+#: Wire key, type and default of each field, in ``GooseMessage`` order.
+_FIELDS = (
+    ("gocbRef", str, ""), ("datSet", str, ""), ("goID", str, ""),
+    ("stNum", int, 0), ("sqNum", int, 0), ("timeAllowedtoLive", int, 0),
+    ("test", bool, False), ("confRev", int, 1), ("t", int, 0),
+    ("allData", list, []),
+)
 
 
 #: ``GooseMessage.from_bytes`` with per-frame receiver de-duplication: a
@@ -90,11 +93,25 @@ class GooseMessage:
 #: so the decode runs once per frame (see :func:`codec.memoize_by_identity`).
 #: Batch-sized (8 slots): the cut-through plane delivers same-instant
 #: frames in one event, interleaving subscribers across payloads.
-decode_goose = memoize_by_identity(GooseMessage.from_bytes, slots=8)
+decode_goose = memoize_by_identity(GooseMessage.from_bytes)
+
+#: Pre-encoded keys of the fields a publisher re-encodes per message.
+_ST_NUM, _SQ_NUM, _TTL, _T, _ALL_DATA = map(
+    encode_value, ("stNum", "sqNum", "timeAllowedtoLive", "t", "allData")
+)
 
 
 class GoosePublisher:
-    """Publishes a dataset with the standard retransmission scheme."""
+    """Publishes a dataset with the standard retransmission scheme.
+
+    Encode once: the wire bytes are assembled from a template equal to
+    :meth:`GooseMessage.to_bytes`.  The constant fields are encoded at
+    construction, the dataset once per ``stNum`` (in :meth:`start` /
+    :meth:`update`); a publish encodes only ``stNum``, ``sqNum``,
+    ``timeAllowedtoLive`` and ``t``.
+    """
+
+    _label_prefix = "goose"
 
     def __init__(
         self,
@@ -118,6 +135,12 @@ class GoosePublisher:
         self._interval_us = GOOSE_MAX_INTERVAL_US
         self.tx_count = 0
         self.started = False
+        self._label = f"{self._label_prefix}:{self.go_id}"
+        # Constant fields, pre-encoded around the per-publish ones.
+        self._head = b"".join(map(encode_value, (
+            "gocbRef", gocb_ref, "datSet", dat_set, "goID", self.go_id)))
+        self._mid = b"".join(map(encode_value, ("test", False, "confRev", conf_rev)))
+        self._all_data = b""  # "allData" key + value TLVs of this stNum
 
     @property
     def simulator(self) -> Simulator:
@@ -128,11 +151,8 @@ class GoosePublisher:
         if self.started:
             return
         self.started = True
-        self._values = list(initial_values)
-        self.st_num = 1
-        self.sq_num = 0
-        self._interval_us = GOOSE_MIN_INTERVAL_US
-        self._publish_now()
+        self.st_num = 0
+        self._new_state(initial_values)
 
     def stop(self) -> None:
         self.started = False
@@ -147,46 +167,48 @@ class GoosePublisher:
             return
         if list(values) == self._values:
             return  # no change — steady-state heartbeat continues
+        if self._retransmit_event is not None:
+            self._retransmit_event.cancel()
+        self._new_state(values)
+
+    # ------------------------------------------------------------------
+    def _new_state(self, values: list) -> None:
+        """Next stNum: encode the dataset once, restart the burst."""
         self._values = list(values)
+        self._all_data = _ALL_DATA + encode_value(self._values)
         self.st_num += 1
         self.sq_num = 0
         self._interval_us = GOOSE_MIN_INTERVAL_US
-        if self._retransmit_event is not None:
-            self._retransmit_event.cancel()
         self._publish_now()
 
-    # ------------------------------------------------------------------
     def _publish_now(self) -> None:
-        message = GooseMessage(
-            gocb_ref=self.gocb_ref,
-            dat_set=self.dat_set,
-            go_id=self.go_id,
-            st_num=self.st_num,
-            sq_num=self.sq_num,
-            time_allowed_to_live_ms=max(
-                2 * self._interval_us // MS, 10
-            ),
-            test=False,
-            conf_rev=self.conf_rev,
-            timestamp_us=self.simulator.now,
-            all_data=self._values,
-        )
-        # The appid tag (the control block reference, standing in for the
-        # APPID of a real GOOSE header) lets subscription-aware switches
-        # prune this stream to its subscribers on the shared group MAC.
-        self.host.send_ethernet(
-            self.dst_mac,
-            ETHERTYPE_GOOSE,
-            message.to_bytes(),
-            appid=self.gocb_ref,
-        )
+        interval = self._interval_us
+        body = b"".join((
+            self._head,
+            _ST_NUM, _tlv(TAG_INT, _encode_int(self.st_num)),
+            _SQ_NUM, _tlv(TAG_INT, _encode_int(self.sq_num)),
+            _TTL, _tlv(TAG_INT, _encode_int(max(2 * interval // MS, 10))),
+            self._mid,
+            _T, _tlv(TAG_INT, _encode_int(self.simulator.now)),
+            self._all_data,
+        ))
+        self._send(_tlv(TAG_MAP, body))
         self.tx_count += 1
         self.sq_num += 1
         # Exponential backoff towards the heartbeat interval.
         self._retransmit_event = self.simulator.schedule(
-            self._interval_us, self._on_timer, label=f"goose:{self.go_id}"
+            interval, self._on_timer, label=self._label
         )
-        self._interval_us = min(self._interval_us * 2, GOOSE_MAX_INTERVAL_US)
+        self._interval_us = min(interval * 2, GOOSE_MAX_INTERVAL_US)
+
+    def _send(self, payload: bytes) -> None:
+        """Transport hook: L2 multicast (R-GOOSE overrides with UDP)."""
+        # The appid tag (the control block reference, standing in for the
+        # APPID of a real GOOSE header) lets subscription-aware switches
+        # prune this stream to its subscribers on the shared group MAC.
+        self.host.send_ethernet(
+            self.dst_mac, ETHERTYPE_GOOSE, payload, appid=self.gocb_ref
+        )
 
     def _on_timer(self) -> None:
         if self.started:
@@ -194,7 +216,10 @@ class GoosePublisher:
 
 
 class GooseSubscriber:
-    """Subscribes to one GOOSE control block reference."""
+    """Subscribes to one GOOSE control block reference.
+
+    Malformed payloads are counted in ``rx_malformed`` and dropped.
+    """
 
     def __init__(
         self,
@@ -213,12 +238,17 @@ class GooseSubscriber:
         self.last_message: Optional[GooseMessage] = None
         self.last_seen_us = -1
         self.rx_count = 0
+        self.rx_malformed = 0
         self.state_changes = 0
         self._stale_event = None
-        host.register_ethertype_handler(ETHERTYPE_GOOSE, self._on_frame)
+        self._bind(dst_mac)
+
+    def _bind(self, group: str) -> None:
+        """Transport hook: L2 multicast (R-GOOSE overrides with UDP)."""
+        self.host.register_ethertype_handler(ETHERTYPE_GOOSE, self._on_frame)
         # GMRP-analog join: tell the network's multicast pruner this host
         # subscribes to the control block's stream on the group MAC.
-        host.join_l2_group(dst_mac, gocb_ref)
+        self.host.join_l2_group(group, self.gocb_ref)
 
     @property
     def values(self) -> list:
@@ -238,7 +268,11 @@ class GooseSubscriber:
         try:
             message = decode_goose(frame.payload)
         except CodecError:
+            self.rx_malformed += 1
             return
+        self._accept(message)
+
+    def _accept(self, message: GooseMessage) -> None:
         if message.gocb_ref != self.gocb_ref:
             return
         self.rx_count += 1

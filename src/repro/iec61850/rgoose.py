@@ -8,16 +8,25 @@ the WAN can forward them.  Port 102 is used per IEC 61850-90-5.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.iec61850.codec import (
+    TAG_MAP,
+    TAG_OCTETS,
     CodecError,
+    _tlv,
     decode_value,
     encode_value,
     memoize_by_identity,
+    typed_fields,
 )
-from repro.iec61850.goose import GooseMessage, GoosePublisher, decode_goose
-from repro.iec61850.sv import SvMessage
+from repro.iec61850.goose import (
+    GooseMessage,
+    GoosePublisher,
+    GooseSubscriber,
+    decode_goose,
+)
+from repro.iec61850.sv import SvMessage, SvPublisher, SvSubscriber, decode_sv
 from repro.kernel import MS, SECOND
 from repro.netem.host import Host, UdpSocket
 
@@ -30,23 +39,31 @@ _SESSION_RGOOSE = "r-goose"
 _SESSION_RSV = "r-sv"
 
 
-def _wrap(session_type: str, payload: bytes) -> bytes:
-    return encode_value({"sessionType": session_type, "payload": payload})
+#: Pre-encoded session headers: wrapping a payload adds just two TLVs.
+_RGOOSE_PREFIX, _RSV_PREFIX = (
+    b"".join(map(encode_value, ("sessionType", session_type, "payload")))
+    for session_type in (_SESSION_RGOOSE, _SESSION_RSV)
+)
 
 
-def _unwrap_uncached(data: bytes) -> tuple[str, bytes]:
+def _wrap(prefix: bytes, payload: bytes) -> bytes:
+    """``encode_value({"sessionType": …, "payload": payload})``."""
+    return _tlv(TAG_MAP, prefix + _tlv(TAG_OCTETS, payload))
+
+
+def _unwrap_uncached(data: bytes) -> list:
+    """``[sessionType, payload]`` of a session wrapper."""
     decoded = decode_value(data)
     if not isinstance(decoded, dict):
         raise CodecError("session wrapper is not a map")
-    return decoded.get("sessionType", ""), decoded.get("payload", b"")
+    return typed_fields(decoded, (("sessionType", str, ""), ("payload", bytes, b"")))
 
 
 #: A routable multicast datagram reaches every group member with the same
-#: bytes object, so the session wrapper and the inner SV message are
-#: decoded once per frame, not once per receiver (see
+#: bytes object, so the session wrapper (like the inner GOOSE/SV message)
+#: is decoded once per frame, not once per receiver (see
 #: :func:`codec.memoize_by_identity`).
-_unwrap = memoize_by_identity(_unwrap_uncached, slots=8)
-_decode_sv = memoize_by_identity(SvMessage.from_bytes, slots=8)
+_unwrap = memoize_by_identity(_unwrap_uncached)
 
 
 class _UdpMulticastEndpoint:
@@ -73,6 +90,8 @@ class _UdpMulticastEndpoint:
 class RGoosePublisher(GoosePublisher):
     """GOOSE state machine, UDP multicast transport."""
 
+    _label_prefix = "rgoose"
+
     def __init__(
         self,
         host: Host,
@@ -85,36 +104,20 @@ class RGoosePublisher(GoosePublisher):
         self.group_ip = group_ip
         self._endpoint = _UdpMulticastEndpoint.for_host(host)
 
-    def _publish_now(self) -> None:  # override the L2 send with UDP
-        message = GooseMessage(
-            gocb_ref=self.gocb_ref,
-            dat_set=self.dat_set,
-            go_id=self.go_id,
-            st_num=self.st_num,
-            sq_num=self.sq_num,
-            time_allowed_to_live_ms=max(2 * self._interval_us // MS, 10),
-            test=False,
-            conf_rev=self.conf_rev,
-            timestamp_us=self.simulator.now,
-            all_data=self._values,
-        )
+    # The inherited publish path, bound here too so per-class
+    # instrumentation (perfbench/tracer.py) can wrap R-GOOSE on its own.
+    _publish_now = GoosePublisher._publish_now
+
+    def _send(self, payload: bytes) -> None:
         self._endpoint.socket.sendto(
             self.group_ip,
             RGOOSE_PORT,
-            _wrap(_SESSION_RGOOSE, message.to_bytes()),
+            _wrap(_RGOOSE_PREFIX, payload),
             appid=self.gocb_ref,
         )
-        self.tx_count += 1
-        self.sq_num += 1
-        self._retransmit_event = self.simulator.schedule(
-            self._interval_us, self._on_timer, label=f"rgoose:{self.go_id}"
-        )
-        from repro.iec61850.goose import GOOSE_MAX_INTERVAL_US
-
-        self._interval_us = min(self._interval_us * 2, GOOSE_MAX_INTERVAL_US)
 
 
-class RGooseSubscriber:
+class RGooseSubscriber(GooseSubscriber):
     """Subscribes to a gocbRef on a UDP multicast group."""
 
     def __init__(
@@ -125,26 +128,13 @@ class RGooseSubscriber:
         group_ip: str = DEFAULT_RGOOSE_GROUP,
         stale_timeout_us: int = 3 * SECOND,
     ) -> None:
-        self.host = host
-        self.gocb_ref = gocb_ref
-        self.on_update = on_update
-        self.stale_timeout_us = stale_timeout_us
-        self.last_message: Optional[GooseMessage] = None
-        self.last_seen_us = -1
-        self.rx_count = 0
-        host.join_multicast_group(group_ip, appid=gocb_ref)
-        endpoint = _UdpMulticastEndpoint.for_host(host)
+        super().__init__(host, gocb_ref, on_update, stale_timeout_us,
+                         dst_mac=group_ip)
+
+    def _bind(self, group: str) -> None:
+        self.host.join_multicast_group(group, appid=self.gocb_ref)
+        endpoint = _UdpMulticastEndpoint.for_host(self.host)
         endpoint.handlers.append(self._on_payload)
-
-    @property
-    def values(self) -> list:
-        return self.last_message.all_data if self.last_message else []
-
-    @property
-    def healthy(self) -> bool:
-        if self.last_seen_us < 0:
-            return False
-        return self.host.simulator.now - self.last_seen_us <= self.stale_timeout_us
 
     def _on_payload(self, src_ip: str, data: bytes) -> None:
         try:
@@ -153,21 +143,15 @@ class RGooseSubscriber:
                 return
             message = decode_goose(payload)
         except CodecError:
+            self.rx_malformed += 1
             return
-        if message.gocb_ref != self.gocb_ref:
-            return
-        self.rx_count += 1
-        self.last_seen_us = self.host.simulator.now
-        is_change = (
-            self.last_message is None or message.st_num != self.last_message.st_num
-        )
-        self.last_message = message
-        if is_change:
-            self.on_update(message)
+        self._accept(message)
 
 
-class RSvPublisher:
+class RSvPublisher(SvPublisher):
     """Routable Sampled Values: periodic measurement stream over UDP."""
+
+    _label_prefix = "rsv"
 
     def __init__(
         self,
@@ -176,49 +160,23 @@ class RSvPublisher:
         group_ip: str = DEFAULT_RSV_GROUP,
         interval_us: int = 100 * MS,
     ) -> None:
-        self.host = host
-        self.sv_id = sv_id
+        super().__init__(host, sv_id, interval_us=interval_us)
         self.group_ip = group_ip
-        self.interval_us = interval_us
-        self.smp_cnt = 0
-        self.tx_count = 0
         self._endpoint = _UdpMulticastEndpoint.for_host(host)
-        self._task = None
-        self._sample_source: Optional[Callable[[], list]] = None
 
-    def start(self, sample_source: Callable[[], list]) -> None:
-        """Begin streaming; ``sample_source`` is polled each interval."""
-        if self._task is not None:
-            return
-        self._sample_source = sample_source
-        self._task = self.host.simulator.every(
-            self.interval_us, self._publish, label=f"rsv:{self.sv_id}"
-        )
+    # Bound here too so per-class instrumentation can wrap R-SV on its own.
+    _publish = SvPublisher._publish
 
-    def stop(self) -> None:
-        if self._task is not None:
-            self._task.stop()
-            self._task = None
-
-    def _publish(self) -> None:
-        samples = self._sample_source() if self._sample_source else []
-        message = SvMessage(
-            sv_id=self.sv_id,
-            smp_cnt=self.smp_cnt,
-            timestamp_us=self.host.simulator.now,
-            samples=list(samples),
-        )
-        self.smp_cnt = (self.smp_cnt + 1) & 0xFFFF
-        self.tx_count += 1
+    def _send(self, payload: bytes) -> None:
         self._endpoint.socket.sendto(
             self.group_ip,
             RGOOSE_PORT,
-            _wrap(_SESSION_RSV, message.to_bytes()),
+            _wrap(_RSV_PREFIX, payload),
             appid=self.sv_id,
         )
 
 
-class RSvSubscriber:
+class RSvSubscriber(SvSubscriber):
     """Receives a routable SV stream by svID."""
 
     def __init__(
@@ -229,34 +187,20 @@ class RSvSubscriber:
         group_ip: str = DEFAULT_RSV_GROUP,
         stale_timeout_us: int = 1 * SECOND,
     ) -> None:
-        self.host = host
-        self.sv_id = sv_id
-        self.on_samples = on_samples
-        self.stale_timeout_us = stale_timeout_us
-        self.last_message: Optional[SvMessage] = None
-        self.last_seen_us = -1
-        self.rx_count = 0
-        host.join_multicast_group(group_ip, appid=sv_id)
-        endpoint = _UdpMulticastEndpoint.for_host(host)
-        endpoint.handlers.append(self._on_payload)
+        super().__init__(host, sv_id, on_samples, group_ip, stale_timeout_us)
 
-    @property
-    def healthy(self) -> bool:
-        if self.last_seen_us < 0:
-            return False
-        return self.host.simulator.now - self.last_seen_us <= self.stale_timeout_us
+    def _bind(self, group: str) -> None:
+        self.host.join_multicast_group(group, appid=self.sv_id)
+        endpoint = _UdpMulticastEndpoint.for_host(self.host)
+        endpoint.handlers.append(self._on_payload)
 
     def _on_payload(self, src_ip: str, data: bytes) -> None:
         try:
             session_type, payload = _unwrap(data)
             if session_type != _SESSION_RSV:
                 return
-            message = _decode_sv(payload)
+            message = decode_sv(payload)
         except CodecError:
+            self.rx_malformed += 1
             return
-        if message.sv_id != self.sv_id:
-            return
-        self.rx_count += 1
-        self.last_seen_us = self.host.simulator.now
-        self.last_message = message
-        self.on_samples(message)
+        self._accept(message)

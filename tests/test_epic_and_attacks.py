@@ -171,6 +171,37 @@ def test_scaleout_pdif_trips_on_false_remote_data(scaleout_model_dir):
     assert cr.breaker_state("CB_S1_TIE") is False
 
 
+def test_scaleout_survives_malformed_rsv_datagram(scaleout_model_dir):
+    """One R-SV datagram that is valid TLV but carries ``smpCnt: "z"``,
+    sent from the WAN: every R-SV subscriber counts and drops it, and the
+    range keeps running with its protection undisturbed."""
+    from repro.iec61850 import encode_value
+    from repro.iec61850.rgoose import DEFAULT_RSV_GROUP, RGOOSE_PORT
+
+    cr = SgmlProcessor(SgmlModelSet.from_directory(scaleout_model_dir)).compile()
+    cr.start()
+    cr.run_for(1.0)
+    subscribers = [
+        sub for ied in cr.ieds.values() for sub in ied._sv_subscribers.values()
+    ]
+    assert subscribers
+    rx_before = [sub.rx_count for sub in subscribers]
+    socket = cr.add_attacker("sw-WAN").udp_bind(40000, lambda *args: None)
+    inner = encode_value({"svID": "TIE1-to", "smpCnt": "z"})
+    socket.sendto(
+        DEFAULT_RSV_GROUP,
+        RGOOSE_PORT,
+        encode_value({"sessionType": "r-sv", "payload": inner}),
+    )
+    cr.run_for(2.0)
+    assert [sub.rx_malformed for sub in subscribers] == [1] * len(subscribers)
+    assert all(
+        sub.rx_count >= before + 19 for sub, before in zip(subscribers, rx_before)
+    )
+    assert cr.simulator.now == 3_000_000
+    assert [t for ied in cr.ieds.values() for t in ied.engine.trips] == []
+
+
 # ---------------------------------------------------------------------------
 # Attack case studies on EPIC
 # ---------------------------------------------------------------------------

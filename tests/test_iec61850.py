@@ -57,6 +57,7 @@ from repro.iec61850.rgoose import (
         [[1, 2], [3, [4]]],
         {},
         {"a": 1, "b": [True, {"c": "d"}]},
+        {"k" * 200: "long-form key"},
     ],
 )
 def test_codec_round_trip(value):
@@ -376,3 +377,64 @@ def test_rsv_filters_by_sv_id(lan, sim):
     publisher.start(lambda: [1.0])
     sim.run_for(SECOND)
     assert received == []
+
+
+# ---------------------------------------------------------------------------
+# Hostile input: decoders raise only CodecError
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "decoder, fields",
+    [
+        (SvMessage.from_bytes, {"svID": "x", "smpCnt": "z"}),
+        (GooseMessage.from_bytes, {"gocbRef": "r", "stNum": "x"}),
+        (GooseMessage.from_bytes, {"gocbRef": "r", "allData": 5}),
+        (GooseMessage.from_bytes, {"gocbRef": "r", "stNum": None}),
+    ],
+    ids=["sv-smpCnt-str", "goose-stNum-str", "goose-allData-int",
+         "goose-stNum-null"],
+)
+def test_decoder_rejects_mistyped_field_with_codec_error(decoder, fields):
+    with pytest.raises(CodecError):
+        decoder(encode_value(fields))
+
+
+def test_codec_rejects_deep_nesting_with_codec_error():
+    blob = encode_value(None)
+    for _ in range(5000):  # far past the interpreter's recursion limit
+        blob = b"\x30" + encode_value(blob)[1:]  # a sequence around blob
+    with pytest.raises(CodecError):
+        decode_value(blob)
+
+
+def test_goose_subscriber_counts_and_drops_malformed(lan, sim):
+    from repro.netem.frames import ETHERTYPE_GOOSE
+
+    subscriber = GooseSubscriber(lan.host("h2"), "ref1", lambda m: None)
+    GoosePublisher(lan.host("h1"), "ref1", "ds").start([1])
+    lan.host("h3").send_ethernet(
+        "01:0c:cd:01:00:01", ETHERTYPE_GOOSE,
+        encode_value({"gocbRef": "ref1", "stNum": "x"}),
+    )
+    sim.run_for(2 * SECOND)
+    assert subscriber.rx_malformed == 1
+    assert subscriber.rx_count >= 2 and subscriber.last_message.st_num == 1
+
+
+def test_rsv_subscriber_counts_and_drops_malformed(lan, sim):
+    from repro.iec61850.rgoose import DEFAULT_RSV_GROUP, RGOOSE_PORT
+
+    subscriber = RSvSubscriber(lan.host("h2"), "tie-I", lambda m: None)
+    RSvPublisher(lan.host("h1"), "tie-I").start(lambda: [0.5])
+    socket = lan.host("h3").udp_bind(40000, lambda *args: None)
+    for datagram in (
+        {"sessionType": "r-sv",
+         "payload": encode_value({"svID": "tie-I", "smpCnt": "z"})},
+        {"sessionType": "r-sv", "payload": "not bytes"},
+        {"sessionType": 7, "payload": b""},
+    ):
+        socket.sendto(DEFAULT_RSV_GROUP, RGOOSE_PORT, encode_value(datagram))
+    sim.run_for(SECOND)
+    assert subscriber.rx_malformed == 3
+    assert subscriber.rx_count >= 9 and subscriber.last_message.samples == [0.5]

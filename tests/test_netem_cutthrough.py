@@ -9,11 +9,23 @@ optimisation must honour: captures, seeded loss and ARP-spoof redirection
 stay bit-identical to the per-hop emulation.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.attacks import MitmPipeline
+from repro.iec61850 import (
+    GooseMessage,
+    RGOOSE_PORT,
+    RGoosePublisher,
+    RSvPublisher,
+    SvMessage,
+    decode_value,
+    encode_value,
+)
 from repro.kernel import MS, SECOND, Simulator
 from repro.netem import VirtualNetwork
+from repro.netem.frames import UdpDatagram
 from repro.netem.switch import MAC_AGEING_US
 
 
@@ -369,6 +381,123 @@ def test_arp_spoof_mitm_equivalence():
     assert intercepted >= 5  # the relay really carried the traffic
     assert len(received) == 6  # nothing lost through the attacker
     assert alice_arp["10.0.0.2"] == "00:1a:22:00:00:03"  # poisoned → mallory
+
+
+def _reencode_tamper(packet, direction):
+    """MITM transform on the generic codec: decode every R-GOOSE/R-SV
+    datagram and re-encode it, scaling R-SV samples by 10 in flight."""
+    datagram = packet.payload
+    if not isinstance(datagram, UdpDatagram) or datagram.dst_port != RGOOSE_PORT:
+        return packet
+    wrapper = decode_value(datagram.payload)
+    inner = decode_value(wrapper["payload"])
+    if wrapper["sessionType"] == "r-sv":
+        inner["seqData"] = [value * 10 for value in inner["seqData"]]
+    wrapper["payload"] = encode_value(inner)
+    return replace(
+        packet, payload=replace(datagram, payload=encode_value(wrapper))
+    )
+
+
+def _session_payloads(trace, link):
+    """``(sessionType, inner map, wire bytes)`` of the R-GOOSE/R-SV
+    datagrams sent into the switch on ``link``, in order."""
+    found = []
+    for _, name, direction, frame in trace:
+        packet = frame.payload
+        if name != link or direction != "a->b":
+            continue
+        if not isinstance(getattr(packet, "payload", None), UdpDatagram):
+            continue
+        data = packet.payload.payload
+        wrapper = decode_value(data)
+        found.append(
+            (wrapper["sessionType"], decode_value(wrapper["payload"]), data)
+        )
+    return found
+
+
+def test_arp_spoof_mitm_tamper_composes_with_templated_payloads():
+    """Publisher-template R-GOOSE/R-SV bytes through the MITM re-encode
+    path: the relay decodes and re-encodes every datagram with the
+    generic codec, so an untouched R-GOOSE message leaves the attacker
+    byte-identical to what the victim sent, and a tampered R-SV message
+    equals the reference encoding of the tampered values."""
+
+    def scenario(cut_through):
+        sim = Simulator()
+        net = VirtualNetwork(sim, cut_through=cut_through)
+        alice = net.add_host("alice", "10.0.0.1")
+        bob = net.add_host("bob", "10.0.0.2")
+        mallory = net.add_host("mallory", "10.0.0.66")
+        net.add_switch("sw")
+        for name in ("alice", "bob", "mallory"):
+            net.add_link(name, "sw")
+        cap = net.capture_all()
+        received = []
+        bob.udp_bind(RGOOSE_PORT, lambda ip, port, data: received.append(data))
+        # Unicast to bob so the ARP-spoofed path carries the streams.
+        goose = RGoosePublisher(alice, "ref", "ds", group_ip="10.0.0.2")
+        sv = RSvPublisher(alice, "tie-I", group_ip="10.0.0.2")
+        goose.start([1.5, True])
+        sv.start(lambda: [0.25])
+        sim.run_for(SECOND)
+        pipeline = MitmPipeline(
+            mallory, "10.0.0.1", "10.0.0.2", transform=_reencode_tamper
+        )
+        pipeline.start()
+        sim.run_for(SECOND)
+        goose.update([2.5, False])  # a state change mid-attack
+        sim.run_for(SECOND)
+        pipeline.stop()
+        goose.stop()
+        sv.stop()
+        sim.run_for(100 * MS)
+        trace = trace_of(cap)
+        return (
+            received,
+            pipeline.modified,
+            _session_payloads(trace, "alice--sw"),
+            _session_payloads(trace, "mallory--sw"),
+        )
+
+    # The poisoning ARP exchange contends within the documented µs
+    # divergence window, so the planes are compared on payloads, not on
+    # whole traces.
+    slow, fast = both_planes(scenario)
+    assert slow == fast
+    received, modified, sent, relayed = slow
+    assert modified == len(relayed) >= 25
+    # Every payload the victim sent equals the reference encoding.
+    for session_type, inner, data in sent:
+        reference = (
+            SvMessage.from_bytes(encode_value(inner))
+            if session_type == "r-sv"
+            else GooseMessage.from_bytes(encode_value(inner))
+        )
+        wrapped = encode_value(
+            {"sessionType": session_type, "payload": reference.to_bytes()}
+        )
+        assert data == wrapped
+    # Relayed datagrams pair with the victim's by message timestamp.
+    originals = {(kind, inner["t"]): data for kind, inner, data in sent}
+    kinds = set()
+    for session_type, inner, data in relayed:
+        original = originals[(session_type, inner["t"])]
+        kinds.add(session_type)
+        if session_type == "r-goose":
+            assert data == original  # re-encoded, byte-identical
+        else:
+            assert inner["seqData"] == [2.5]
+            tampered = SvMessage(
+                sv_id="tie-I", smp_cnt=inner["smpCnt"],
+                timestamp_us=inner["t"], samples=[2.5],
+            )
+            assert data == encode_value(
+                {"sessionType": "r-sv", "payload": tampered.to_bytes()}
+            )
+    assert kinds == {"r-goose", "r-sv"}
+    assert [data for _, _, data in relayed] == received[-len(relayed):]
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,25 @@ def test_codec_never_crashes_on_garbage(data):
         pass
 
 
+_PDU_KEYS = ("gocbRef", "stNum", "allData", "test", "svID", "smpCnt", "t",
+             "seqData", "sessionType", "payload")
+
+
+@given(st.dictionaries(st.sampled_from(_PDU_KEYS), _values, max_size=6))
+@settings(max_examples=200)
+def test_pdu_decoders_raise_only_codec_error(fields):
+    """Well-formed TLV maps with arbitrarily typed GOOSE/SV fields either
+    decode or raise CodecError — no other error."""
+    from repro.iec61850 import GooseMessage, SvMessage
+    from repro.iec61850.codec import CodecError
+
+    for decoder in (GooseMessage.from_bytes, SvMessage.from_bytes):
+        try:
+            decoder(encode_value(fields))
+        except CodecError:
+            pass
+
+
 # ---------------------------------------------------------------------------
 # Addresses
 # ---------------------------------------------------------------------------

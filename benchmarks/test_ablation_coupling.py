@@ -12,7 +12,7 @@ from conftest import print_report
 
 from repro.powersim import run_power_flow
 from repro.powersim.timeseries import TimeSeriesRunner
-from repro.pointdb import PointDatabase
+from repro.pointdb import PointRegistry
 from repro.range import PowerCoupling
 from repro.scl.merge import merge_ssd
 from repro.sgml import generate_power_network
@@ -32,7 +32,7 @@ def test_ablation_solver_only(benchmark, epic_model):
 
 def test_ablation_full_tick_with_database(benchmark, epic_model):
     net = _epic_net(epic_model)
-    db = PointDatabase()
+    db = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net), db)
     tick = [0]
 
@@ -46,14 +46,15 @@ def test_ablation_full_tick_with_database(benchmark, epic_model):
 
 def test_ablation_tick_with_commands(benchmark, epic_model):
     net = _epic_net(epic_model)
-    db = PointDatabase()
+    db = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net), db)
+    command = db.resolve("cmd/CB_T1/close")
     tick = [0]
 
     def tick_with_command():
         tick[0] += 1
         # A breaker command every tick (worst-case cyber activity).
-        db.write_command("cmd/CB_T1/close", tick[0] % 2 == 0, writer="bench")
+        db.write_command(command, tick[0] % 2 == 0, writer="bench")
         coupling.tick(tick[0] * 0.1)
 
     benchmark(tick_with_command)

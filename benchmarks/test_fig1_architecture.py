@@ -30,7 +30,7 @@ def test_fig1_architecture_components(benchmark, epic_range):
         f"power simulation   → {summary['buses']} buses, "
         f"{cr.coupling.tick_count} snapshots (100 ms interval)",
         f"coupling interface → {len(cr.pointdb)} point-db keys, "
-        f"{cr.pointdb.write_count} command writes",
+        f"{len(cr.pointdb.command_history)} command writes",
     ]
     print_report("Fig. 1 / cyber range architecture", rows)
 

@@ -17,7 +17,8 @@ def test_table2_ptoc(benchmark, epic_range):
     cr.start()
     cr.run_for(2.0)
     # Overload the smart-home feeder (12x nominal) → SHIED1 PTOC trips.
-    cr.pointdb.write_command("cmd/Load_SH2/scale", 12.0, writer="bench")
+    load_step = cr.pointdb.resolve("cmd/Load_SH2/scale")
+    cr.pointdb.write_command(load_step, 12.0, writer="bench")
 
     def run_until_trip():
         cr.run_for(1.0)

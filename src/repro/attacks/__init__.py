@@ -11,20 +11,12 @@
   sweep + TCP connect scan for reconnaissance exercises.
 """
 
-from repro.attacks.exercise import (
-    ExerciseAction,
-    ExerciseLogEntry,
-    ExercisePlaybook,
-)
 from repro.attacks.fci import FalseCommandInjector, InjectionResult
 from repro.attacks.mitm import ArpSpoofer, MeasurementSpoofer, MitmPipeline
 from repro.attacks.scanner import NetworkScanner, ScanReport
 
 __all__ = [
     "ArpSpoofer",
-    "ExerciseAction",
-    "ExerciseLogEntry",
-    "ExercisePlaybook",
     "FalseCommandInjector",
     "InjectionResult",
     "MeasurementSpoofer",

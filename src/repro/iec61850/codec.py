@@ -131,6 +131,26 @@ def typed_fields(mapping: dict, schema: tuple) -> list:
 # ---------------------------------------------------------------------------
 
 
+def tlv_span(data: bytes, offset: int, end: int) -> tuple[int, int, int]:
+    """``(tag, body start, body stop)`` of the TLV at ``offset``, which must
+    end by ``end``; raises :class:`CodecError` where :func:`decode_value`
+    would reject the header."""
+    if offset + 1 >= end:
+        raise CodecError("truncated value")
+    length = data[offset + 1]
+    start = offset + 2
+    if length >= 0x80:
+        count = length & 0x7F
+        start += count
+        if count == 0 or start > end:
+            raise CodecError("malformed long-form length")
+        length = int.from_bytes(data[offset + 2 : start], "big")
+    stop = start + length
+    if stop > end:
+        raise CodecError("value body extends past buffer")
+    return data[offset], start, stop
+
+
 def _tlv(tag: int, body: bytes) -> bytes:
     return bytes([tag]) + _encode_length(len(body)) + body
 

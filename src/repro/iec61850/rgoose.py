@@ -18,6 +18,7 @@ from repro.iec61850.codec import (
     decode_value,
     encode_value,
     memoize_by_identity,
+    tlv_span,
     typed_fields,
 )
 from repro.iec61850.goose import (
@@ -51,8 +52,28 @@ def _wrap(prefix: bytes, payload: bytes) -> bytes:
     return _tlv(TAG_MAP, prefix + _tlv(TAG_OCTETS, payload))
 
 
+#: Session type per pre-encoded wrapper prefix.
+_SESSION_PREFIXES = ((_RGOOSE_PREFIX, _SESSION_RGOOSE), (_RSV_PREFIX, _SESSION_RSV))
+
+
 def _unwrap_uncached(data: bytes) -> list:
-    """``[sessionType, payload]`` of a session wrapper."""
+    """``[sessionType, payload]`` of a session wrapper.
+
+    A wrapper laid out exactly as :func:`_wrap` builds it — map header,
+    one of the constant session prefixes, one octet string filling the
+    rest — is split by its headers alone; that is the value a full decode
+    returns.  Anything else takes the general decoder.
+    """
+    try:
+        tag, start, stop = tlv_span(data, 0, len(data))
+        if tag == TAG_MAP and stop == len(data):
+            for prefix, session_type in _SESSION_PREFIXES:
+                if data.startswith(prefix, start):
+                    tag, body, end = tlv_span(data, start + len(prefix), stop)
+                    if tag == TAG_OCTETS and end == stop:
+                        return [session_type, data[body:end]]
+    except CodecError:
+        pass  # the general decoder raises its own error below
     decoded = decode_value(data)
     if not isinstance(decoded, dict):
         raise CodecError("session wrapper is not a map")

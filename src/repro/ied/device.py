@@ -45,7 +45,7 @@ from repro.iec61850.mms import MmsError, MmsServer
 from repro.iec61850.rgoose import RSvPublisher, RSvSubscriber
 from repro.kernel import MS
 from repro.netem.host import Host
-from repro.pointdb import PointDatabase, PointHandle, PointType
+from repro.pointdb import PointHandle, PointRegistry, PointType
 
 
 class VirtualIed:
@@ -56,7 +56,7 @@ class VirtualIed:
         host: Host,
         model: IedDataModel,
         config: IedRuntimeConfig,
-        pointdb: PointDatabase,
+        pointdb: PointRegistry,
     ) -> None:
         self.host = host
         self.model = model
@@ -72,8 +72,8 @@ class VirtualIed:
         self._sv_last_sample: dict[str, float] = {}
         #: Breaker statuses learned from peer GOOSE messages.
         self.peer_breaker_status: dict[str, bool] = {}
-        #: Breakers this IED commands: db breaker name → command db key.
-        self._breakers: dict[str, str] = {}
+        #: Breakers this IED commands: db breaker name → command handle.
+        self._breakers: dict[str, PointHandle] = {}
         self._protection_by_ln: dict[str, Any] = {}
         self._scan_task = None
         self._scan_event = None
@@ -102,7 +102,7 @@ class VirtualIed:
         for point in self.config.write_points():
             breaker = _breaker_from_command_key(point.db_key)
             if breaker:
-                self._breakers[breaker] = point.db_key
+                self._breakers[breaker] = self.pointdb.resolve(point.db_key)
         for settings in self.config.protections:
             self._build_protection(settings)
         self._resolve_handles()
@@ -158,7 +158,7 @@ class VirtualIed:
             return
         self._wake_subscribed.add(handle.index)
         self._subscribed_handles.append(handle)
-        self.pointdb.subscribe_handle(handle, self._on_input_change)
+        self.pointdb.subscribe(handle, self._on_input_change)
 
     @property
     def handle_count(self) -> int:
@@ -259,7 +259,7 @@ class VirtualIed:
 
     def _breaker_status_callable(self, breaker: str):
         handle = self._status_handle(breaker)
-        registry = self.pointdb.registry
+        registry = self.pointdb
 
         def read() -> bool:
             # Prefer the peer-published GOOSE status (protection-grade
@@ -310,7 +310,7 @@ class VirtualIed:
         """
         self.stop()
         for handle in self._subscribed_handles:
-            self.pointdb.unsubscribe_handle(handle, self._on_input_change)
+            self.pointdb.unsubscribe(handle, self._on_input_change)
         self._subscribed_handles.clear()
         self._wake_subscribed.clear()
 
@@ -365,7 +365,7 @@ class VirtualIed:
             self._schedule_scan(int(self.config.scan_interval_ms * MS))
 
     def _sync_measurements(self) -> None:
-        registry = self.pointdb.registry
+        registry = self.pointdb
         gens = self._read_gens
         for slot, (point, handle) in enumerate(self._read_handles):
             generation = registry.generation(handle)
@@ -405,7 +405,7 @@ class VirtualIed:
 
     def _goose_dataset(self) -> list:
         """Self-describing dataset: [["breaker", name, closed], ["op", ln, flag]...]"""
-        registry = self.pointdb.registry
+        registry = self.pointdb
         data: list = [["ied", self.name]]
         for breaker in sorted(self._breakers):
             closed = registry.get_bool(self._status_handle(breaker), True)

@@ -57,9 +57,9 @@ link direction within one serialisation window, the cut-through plane
 grants the window in send order while the hop-by-hop plane grants it in
 per-hop arrival order — a microsecond-bounded timing skew with no loss,
 no reordering per sender, and no misdelivery.  The hop-by-hop path stays
-available (``VirtualNetwork(cut_through=False)`` or
-``REPRO_NETEM_CUT_THROUGH=0``) as the differential-test oracle; see
-``tests/test_netem_cutthrough.py`` for the equivalence contract.
+available (``VirtualNetwork(cut_through=False)``) as the differential-test
+oracle; see ``tests/test_netem_cutthrough.py`` for the equivalence
+contract.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.netem.addresses import BROADCAST_MAC, is_multicast_mac
 from repro.netem.frames import EthernetFrame
+from repro.netem.multicast import group_key
 from repro.netem.node import ForwardingState
 from repro.netem.switch import MAC_AGEING_US, Switch
 
@@ -85,6 +86,14 @@ _FWD_NONE = 0
 _FWD_FORWARDED = 1
 _FWD_FLOODED = 2
 _FWD_PRUNED = 3
+
+#: Multicast class of a compiled path's destination, fixed at compile
+#: time: group registration and the pruning switch both bump the
+#: forwarding revision, so a cached path never outlives its class.
+_MCAST_NONE = 0  # unicast or broadcast
+_MCAST_PRUNED = 1  # registered group, pruning on
+_MCAST_REGISTERED_FLOOD = 2  # registered group, pruning off
+_MCAST_FLOOD = 3  # unregistered group (or no group table)
 
 #: Path-cache entries are dropped wholesale past this size (an attacker
 #: spraying random destination MACs must not grow the cache unboundedly).
@@ -108,11 +117,13 @@ class _Path:
     guarantees a parent's arrival time is known before any child runs.
     ``terminals`` lists ``(crossing index, host port, upstream chain)``
     per receiver, the chain being the root→terminal crossing indices used
-    by the delivery-time link-flap recheck.
+    by the delivery-time link-flap recheck.  ``mcast`` is the
+    destination's ``_MCAST_*`` class and ``group`` its per-group delivery
+    key (``None`` unless the group is registered).
     """
 
     __slots__ = ("rev", "expires_at", "flat", "parents", "children",
-                 "terminals", "_ser_cache")
+                 "terminals", "mcast", "group", "_ser_cache")
 
     def __init__(self, rev: int, expires_at: Optional[int]) -> None:
         self.rev = rev
@@ -121,6 +132,8 @@ class _Path:
         self.parents: list[int] = []
         self.children: list[tuple[int, ...]] = []
         self.terminals: list[tuple[int, "Port", tuple[int, ...]]] = []
+        self.mcast = _MCAST_NONE
+        self.group: Optional[str] = None
         #: size8 → per-crossing serialisation delays.  A path sees a
         #: handful of frame sizes (GOOSE heartbeats, R-SV samples, ACKs),
         #: so the ``int(size8 / bandwidth)`` per crossing collapses to a
@@ -251,6 +264,15 @@ class ForwardingPlane:
         # an aged entry (bumping rev) while we compile.
         path.rev = self.state.rev
         path.expires_at = min(expires) if expires else None
+        if is_multicast_mac(dst_mac) and dst_mac != BROADCAST_MAC:
+            groups = self.groups
+            if groups is None or not groups.is_registered(dst_mac):
+                path.mcast = _MCAST_FLOOD
+            else:
+                path.mcast = (
+                    _MCAST_PRUNED if groups.enabled else _MCAST_REGISTERED_FLOOD
+                )
+                path.group = group_key(dst_mac, appid)
         return path
 
     def resolve(
@@ -295,20 +317,12 @@ class ForwardingPlane:
         # sgml: lint-ok[det-wallclock] wall accounting
         started = time.perf_counter()
         self.sends += 1
-        dst_mac = frame.dst_mac
-        appid = frame.appid
-        groups = self.groups
-        mcast = is_multicast_mac(dst_mac) and dst_mac != BROADCAST_MAC
-        if mcast:
-            if (
-                groups is not None
-                and groups.enabled
-                and groups.is_registered(dst_mac)
-            ):
-                self.mcast_pruned_sends += 1
-            else:
-                self.mcast_flooded_sends += 1
-        path = self.resolve(origin_port, dst_mac, appid)
+        path = self.resolve(origin_port, frame.dst_mac, frame.appid)
+        mcast = path.mcast
+        if mcast == _MCAST_PRUNED:
+            self.mcast_pruned_sends += 1
+        elif mcast != _MCAST_NONE:
+            self.mcast_flooded_sends += 1
         flat = path.flat
         if not flat:  # detached port: Port.send drops silently
             # sgml: lint-ok[det-wallclock] wall accounting
@@ -358,8 +372,8 @@ class ForwardingPlane:
                     bucket.append(entry)
                     self.batched_frames += 1
             self.deliveries += total
-            if mcast and groups is not None and groups.is_registered(dst_mac):
-                groups.count_delivery(dst_mac, appid, total)
+            if path.group is not None:
+                self.groups.count_delivery(path.group, total)
         # sgml: lint-ok[det-wallclock] wall accounting
         self.forward_wall_s += time.perf_counter() - started
 

@@ -44,9 +44,8 @@ and capture attachment bump ``topo`` (invalidating the per-port
 reachability scopes).
 
 The flood behaviour stays available as the differential-test oracle:
-``VirtualNetwork(multicast_prune=False)`` or
-``REPRO_NETEM_MCAST_PRUNE=0`` — mirroring the cut-through plane's
-``REPRO_NETEM_CUT_THROUGH`` idiom.  ``tests/test_netem_multicast.py``
+``VirtualNetwork(multicast_prune=False)``, mirroring the cut-through
+plane's ``cut_through=False`` oracle.  ``tests/test_netem_multicast.py``
 holds the pruned-vs-flood equivalence contract.
 """
 
@@ -280,8 +279,8 @@ class MulticastGroupTable:
     # ------------------------------------------------------------------
     # Accounting / reporting
     # ------------------------------------------------------------------
-    def count_delivery(self, mac: str, appid: Optional[str], n: int) -> None:
-        key = group_key(mac, appid)
+    def count_delivery(self, key: str, n: int) -> None:
+        """Add ``n`` receivers to the group whose ``group_key`` is ``key``."""
         self.group_deliveries[key] = self.group_deliveries.get(key, 0) + n
 
     @property

@@ -7,7 +7,6 @@ the intermediate JSON extracted from the SCD file (paper §IV-A).
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.kernel import Simulator
@@ -25,48 +24,28 @@ class NetemError(Exception):
     """Raised on malformed topology operations."""
 
 
-def _cut_through_default() -> bool:
-    """Cut-through delivery is on unless ``REPRO_NETEM_CUT_THROUGH`` says no."""
-    return os.environ.get("REPRO_NETEM_CUT_THROUGH", "1").lower() not in (
-        "0",
-        "false",
-        "off",
-    )
-
-
-def _mcast_prune_default() -> bool:
-    """Multicast pruning is on unless ``REPRO_NETEM_MCAST_PRUNE`` says no."""
-    return os.environ.get("REPRO_NETEM_MCAST_PRUNE", "1").lower() not in (
-        "0",
-        "false",
-        "off",
-    )
-
-
 class VirtualNetwork:
     """Named collection of nodes and links on a shared simulator.
 
-    ``cut_through`` selects the delivery plane: ``True`` (the default, or
-    via the ``REPRO_NETEM_CUT_THROUGH`` environment variable) routes every
-    host-originated frame through the :class:`ForwardingPlane` path cache;
-    ``False`` keeps the hop-by-hop emulation, which serves as the
-    differential-test oracle.  Both planes share all link/switch state, so
-    the mode can be flipped mid-run with :meth:`set_cut_through`.
+    ``cut_through`` selects the delivery plane: ``True`` (the default)
+    routes every host-originated frame through the :class:`ForwardingPlane`
+    path cache; ``False`` keeps the hop-by-hop emulation, which serves as
+    the differential-test oracle.  Both planes share all link/switch state,
+    so the mode can be flipped mid-run with :meth:`set_cut_through`.
 
     ``multicast_prune`` selects subscription-aware multicast delivery
-    (:mod:`repro.netem.multicast`): ``True`` (the default, or via
-    ``REPRO_NETEM_MCAST_PRUNE``) lets switches prune *registered* group
-    MACs down to subscriber/spy/capture ports; ``False`` keeps classic
-    flooding everywhere, serving as the pruning differential-test oracle.
-    Flip mid-run with :meth:`set_multicast_prune`.
+    (:mod:`repro.netem.multicast`): ``True`` (the default) lets switches
+    prune *registered* group MACs down to subscriber/spy/capture ports;
+    ``False`` keeps classic flooding everywhere, serving as the pruning
+    differential-test oracle.  Flip mid-run with :meth:`set_multicast_prune`.
     """
 
     def __init__(
         self,
         simulator: Simulator,
         name: str = "net",
-        cut_through: Optional[bool] = None,
-        multicast_prune: Optional[bool] = None,
+        cut_through: bool = True,
+        multicast_prune: bool = True,
     ) -> None:
         self.simulator = simulator
         self.name = name
@@ -79,15 +58,9 @@ class VirtualNetwork:
         self.plane = ForwardingPlane(simulator, self.fwd)
         #: Network-wide multicast group table, consulted by every switch.
         self.groups = MulticastGroupTable(self.fwd)
-        self.groups.set_enabled(
-            _mcast_prune_default()
-            if multicast_prune is None
-            else bool(multicast_prune)
-        )
+        self.groups.set_enabled(bool(multicast_prune))
         self.plane.groups = self.groups
-        self.cut_through = (
-            _cut_through_default() if cut_through is None else bool(cut_through)
-        )
+        self.cut_through = bool(cut_through)
 
     # ------------------------------------------------------------------
     # Topology construction

@@ -41,7 +41,7 @@ from repro.iec61850.mms import MmsClient
 from repro.kernel import MS
 from repro.modbus import ModbusDataBank, ModbusServer
 from repro.netem.host import Host
-from repro.pointdb import PointDatabase, PointHandle
+from repro.pointdb import PointHandle, PointRegistry
 
 _LOCATION_RE = re.compile(r"^%([IQ])([XWD])(\d+)(?:\.(\d+))?$")
 
@@ -92,7 +92,7 @@ class PointBinding:
 
     variable: str
     handle: PointHandle
-    pointdb: PointDatabase
+    pointdb: PointRegistry
     direction: str = "read"  # "read" (db→PLC) | "write" (PLC→db)
 
 
@@ -205,7 +205,7 @@ class VirtualPlc:
     def bind_point(
         self,
         variable: str,
-        pointdb: PointDatabase,
+        pointdb: PointRegistry,
         db_key: str,
         direction: str = "read",
     ) -> None:
@@ -229,9 +229,9 @@ class VirtualPlc:
             def on_change(_handle, value, name=variable) -> None:
                 self._on_point_change(name, value)
 
-            pointdb.subscribe_handle(handle, on_change)
+            pointdb.subscribe(handle, on_change)
             self._point_subscriptions.append((pointdb, handle, on_change))
-            current = pointdb.registry.read(handle)
+            current = pointdb.read(handle)
             if current is not None:
                 self._point_pending[variable] = current
 
@@ -266,7 +266,7 @@ class VirtualPlc:
         :meth:`repro.range.CyberRange.close`)."""
         self.stop()
         for pointdb, handle, callback in self._point_subscriptions:
-            pointdb.unsubscribe_handle(handle, callback)
+            pointdb.unsubscribe(handle, callback)
         self._point_subscriptions.clear()
 
     # ------------------------------------------------------------------
@@ -367,13 +367,13 @@ class VirtualPlc:
             self._point_written[binding.variable] = value
             if binding.handle.key.startswith("cmd/"):
                 binding.pointdb.write_command(
-                    binding.handle.key,
+                    binding.handle,
                     value,
                     writer=self.name,
                     time_us=self.host.simulator.now,
                 )
             else:
-                binding.pointdb.set(binding.handle.key, value)
+                binding.pointdb.write_now(binding.handle, value)
         for binding in self.bindings:
             if binding.direction != "write":
                 continue

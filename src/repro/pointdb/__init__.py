@@ -4,7 +4,8 @@ The paper's cyber range connects virtual IEDs to the power-system simulator
 "through an open-sourced MySQL database.  This works as a 'cache' storing a
 set of key-value pairs, for reading power grid measurements (voltages,
 power flow, etc.) and executing control (e.g., opening/closing circuit
-breakers)."  :class:`PointDatabase` reproduces that contract in-process.
+breakers)."  :class:`~repro.pointdb.registry.PointRegistry` reproduces that
+contract in-process.
 
 Key naming convention (produced by the SSD parser and consumed via the
 IED Config XML mapping):
@@ -15,18 +16,16 @@ IED Config XML mapping):
 * ``cmd/<breaker>/close``                            — breaker commands
   (written by IEDs, drained by the co-simulation loop each tick)
 
-Data-plane architecture (handle refactor)
------------------------------------------
+Data-plane architecture
+-----------------------
 
-The store is layered:
-
-* :class:`~repro.pointdb.registry.PointRegistry` — the data plane.  Every
-  key is interned **once** into an integer-indexed slot with a declared
-  :class:`~repro.pointdb.registry.PointType` (float/bool/int/any), a
-  per-point dirty bit and a monotonic generation counter.  Producers and
-  consumers resolve :class:`~repro.pointdb.registry.PointHandle` objects at
-  range compile time and then touch plain list slots on the hot path — no
-  f-string key formatting, no string hashing per tick.
+* **Handles** — every key is interned **once** into an integer-indexed
+  slot with a declared :class:`~repro.pointdb.registry.PointType`
+  (float/bool/int/any), a per-point dirty bit and a monotonic generation
+  counter.  Producers and consumers resolve
+  :class:`~repro.pointdb.registry.PointHandle` objects at range compile
+  time and then touch plain list slots on the hot path — no f-string key
+  formatting, no string hashing per tick.
 
 * **Delta publication** — the power-flow coupling writes each tick's
   snapshot through handles (:meth:`PointRegistry.write` suppresses
@@ -40,24 +39,23 @@ The store is layered:
   IED scan cycle) compare :meth:`PointRegistry.generation` against a
   remembered value instead of subscribing, skipping unchanged points.
 
-* :class:`PointDatabase` — the **compatibility shim**.  It keeps the exact
-  string API the rest of the codebase (and the paper's MySQL contract)
-  expects — ``set``/``get``/``keys``/``snapshot``/``subscribe`` plus the
-  command-drain queue — while storing everything in the registry.  Legacy
-  per-key ``subscribe`` callbacks keep their fire-on-every-write
-  semantics; the new ``subscribe_handle`` path is strictly change-driven.
+* **Commands** — :meth:`PointRegistry.write_command` writes through a
+  handle and appends a :class:`PointWrite` to the command log, which the
+  co-simulation tick drains once per tick.
+
+* **Text keys** — a key that arrives as text (a scenario condition, the
+  CLI) is read with :meth:`PointRegistry.get`, which never interns it.
 """
 
-from repro.pointdb.database import PointDatabase, PointWrite
 from repro.pointdb.registry import (
     PointHandle,
     PointRegistry,
     PointType,
+    PointWrite,
     parse_bool,
 )
 
 __all__ = [
-    "PointDatabase",
     "PointHandle",
     "PointRegistry",
     "PointType",

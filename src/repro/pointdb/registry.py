@@ -16,6 +16,11 @@ how many times the point was written inside the batch.
 Generation counters let pull-style consumers (the IED scan cycle) skip
 points that have not changed since their last sync without subscribing at
 all: compare :meth:`generation` against a remembered value.
+
+Commands (breaker operates, load steps) go through :meth:`PointRegistry.
+write_command`, which writes the point and appends a :class:`PointWrite`
+to an arrival-ordered log; the co-simulation tick drains it exactly once
+per tick (the paper's 100 ms granularity, §III-C).
 """
 
 from __future__ import annotations
@@ -81,6 +86,16 @@ class PointHandle:
         return f"PointHandle({self.index}, {self.key!r}, {self.ptype.value})"
 
 
+@dataclass(frozen=True)
+class PointWrite:
+    """One recorded command write: who wrote what, when."""
+
+    time_us: int
+    key: str
+    value: Any
+    writer: str
+
+
 def _values_equal(old: Any, new: Any) -> bool:
     """Equality with NaN == NaN (a NaN measurement is not 'fresh' forever)."""
     if old is new:
@@ -116,6 +131,8 @@ class PointRegistry:
         self._global_subscribers: list[Callable[[PointHandle, Any], None]] = []
         self._handles: list[PointHandle] = []
         self._present_count = 0
+        self._command_log: list[PointWrite] = []
+        self._drained = 0
         #: Write-path accounting (benchmarks report these).
         self.writes = 0
         self.changed_writes = 0
@@ -250,6 +267,33 @@ class PointRegistry:
             self.notifications += 1
             callback(handle, value)
 
+    # ------------------------------------------------------------------
+    # Command queue (IEDs/PLCs/scenarios write, the coupling tick drains)
+    # ------------------------------------------------------------------
+    def write_command(
+        self,
+        handle: PointHandle,
+        value: Any,
+        writer: str = "",
+        time_us: int = 0,
+    ) -> None:
+        """Write ``value`` now and record it for the next drain."""
+        self.write_now(handle, value)
+        self._command_log.append(
+            PointWrite(time_us, handle.key, value, writer)
+        )
+
+    def drain_commands(self) -> list[PointWrite]:
+        """Commands recorded since the previous drain (arrival order)."""
+        fresh = self._command_log[self._drained :]
+        self._drained = len(self._command_log)
+        return fresh
+
+    @property
+    def command_history(self) -> list[PointWrite]:
+        """Full audit log of every command ever written (forensics)."""
+        return list(self._command_log)
+
     @property
     def pending_dirty(self) -> int:
         """Dirty points awaiting the next flush."""
@@ -261,6 +305,13 @@ class PointRegistry:
     def read(self, handle: PointHandle, default: Any = None) -> Any:
         slot = handle.index
         return self._values[slot] if self._present[slot] else default
+
+    def get(self, key: str, default: Any = None) -> Any:
+        """Read by key text without interning it (unknown → ``default``)."""
+        slot = self._index.get(key)
+        if slot is None or not self._present[slot]:
+            return default
+        return self._values[slot]
 
     def get_float(self, handle: PointHandle, default: float = 0.0) -> float:
         value = self.read(handle, default)
@@ -335,7 +386,7 @@ class PointRegistry:
         return True
 
     # ------------------------------------------------------------------
-    # Introspection / string-keyed views (compat layer uses these)
+    # Introspection / string-keyed views
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:

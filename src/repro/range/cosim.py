@@ -35,7 +35,7 @@ from typing import Optional
 
 from repro.powersim import Network, PowerFlowDiverged, PowerFlowResult
 from repro.powersim.timeseries import TimeSeriesRunner
-from repro.pointdb import PointDatabase, PointType
+from repro.pointdb import PointRegistry, PointType
 
 
 class PowerCoupling:
@@ -45,7 +45,7 @@ class PowerCoupling:
         self,
         net: Network,
         runner: TimeSeriesRunner,
-        pointdb: PointDatabase,
+        pointdb: PointRegistry,
     ) -> None:
         self.net = net
         self.runner = runner
@@ -236,7 +236,7 @@ class PowerCoupling:
         Unchanged values never leave the registry's write path; the single
         flush at the end wakes each subscriber once per changed point.
         """
-        registry = self.pointdb.registry
+        registry = self.pointdb
         write = registry.write
         buses = result.buses
         for name, h_vm, h_va in self._bus_handles:

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.kernel import MS, SECOND, Simulator
 from repro.netem import Host, PacketCapture, VirtualNetwork
 from repro.plc import VirtualPlc
-from repro.pointdb import PointDatabase, PointHandle, PointType
+from repro.pointdb import PointHandle, PointRegistry, PointType
 from repro.powersim import Network
 from repro.powersim.timeseries import TimeSeriesRunner
 from repro.range.cosim import PowerCoupling
@@ -32,7 +32,7 @@ class CyberRange:
         network: VirtualNetwork,
         power_net: Network,
         runner: TimeSeriesRunner,
-        pointdb: PointDatabase,
+        pointdb: PointRegistry,
         sim_interval_ms: float = 100.0,
         seed: int = 0,
     ) -> None:
@@ -262,7 +262,7 @@ class CyberRange:
         Read-only: an unknown breaker returns the default without
         interning a new registry slot.
         """
-        registry = self.pointdb.registry
+        registry = self.pointdb
         handle = self._breaker_handles.get(breaker)
         if handle is None:
             handle = registry.handle_for(f"status/{breaker}/closed")
@@ -277,7 +277,7 @@ class CyberRange:
         Read-only: an unknown key returns 0.0 without interning a new
         registry slot (misspelled keys must not grow the registry).
         """
-        registry = self.pointdb.registry
+        registry = self.pointdb
         handle = self._meas_handles.get(key)
         if handle is None:
             handle = registry.handle_for(key)
@@ -304,7 +304,7 @@ class CyberRange:
         :meth:`multicast_group_stats` (string-keyed, so kept out of this
         flat float map).
         """
-        stats = dict(self.pointdb.registry.stats())
+        stats = dict(self.pointdb.stats())
         stats.update(self.coupling.stats())
         stats["ied_scans"] = sum(i.scan_count for i in self.ieds.values())
         stats["ied_wakes"] = sum(i.wake_count for i in self.ieds.values())

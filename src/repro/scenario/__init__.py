@@ -1,10 +1,7 @@
 """Event-driven scenario subsystem (experiments + training as data).
 
 This package redesigns the scenario-facing API of the cyber range around
-declarative **phases** armed by **triggers** and scored by **outcomes**,
-replacing the timestamp-scripted :class:`~repro.attacks.exercise.
-ExercisePlaybook` (now a thin compat shim over :meth:`Scenario.
-from_playbook`):
+declarative **phases** armed by **triggers** and scored by **outcomes**:
 
 * triggers — :func:`at`, :func:`when` (compiled to point-registry delta
   subscriptions: idle conditions cost zero polling and zero kernel
@@ -26,8 +23,8 @@ one aggregate report.
 
 Entry points: ``CyberRange.run_scenario(scenario, duration_s)``,
 ``Scenario.from_spec`` / ``to_spec`` (dict/YAML-shaped, wired to the
-``sgml scenario`` CLI subcommand), ``Campaign.from_catalog`` /
-``from_spec_dir``, and ``Scenario.from_playbook`` for legacy playbooks.
+``sgml scenario`` CLI subcommand), and ``Campaign.from_catalog`` /
+``from_spec_dir``.
 """
 
 from repro.scenario.actions import (

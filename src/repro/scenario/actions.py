@@ -4,8 +4,8 @@ Actions wrap the range's existing primitives — attack tooling from
 :mod:`repro.attacks`, HMI operator commands, raw point writes and
 observations — behind one uniform ``execute(cyber_range)`` interface so
 phases can mix red/blue/white steps freely and the engine can log every
-step with the same after-action semantics the old playbook had (an action
-that raises is a logged failure, not a harness crash).
+step with the same after-action semantics (an action that raises is a
+logged failure, not a harness crash).
 
 Every action here is also constructible from the declarative spec parsed
 by ``Scenario.from_spec`` (see :func:`action_from_spec`), which is what
@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
+from repro.attacks.fci import FalseCommandInjector
+from repro.attacks.mitm import MeasurementSpoofer, MitmPipeline
 from repro.scenario.conditions import Condition, parse_condition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -57,7 +59,7 @@ class Action:
 
 @dataclass
 class CallAction(Action):
-    """Arbitrary callable on the range (the playbook-compat escape hatch)."""
+    """Arbitrary callable on the range (the ``Phase.do(fn)`` escape hatch)."""
 
     description: str
     fn: ActionFn
@@ -113,15 +115,17 @@ class WritePointAction(Action):
             self.description = f"write {self.key} = {self.value}"
 
     def execute(self, cyber_range: "CyberRange") -> Any:
+        pointdb = cyber_range.pointdb
+        handle = pointdb.resolve(self.key)
         if self.key.startswith("cmd/"):
-            cyber_range.pointdb.write_command(
-                self.key,
+            pointdb.write_command(
+                handle,
                 self.value,
                 writer=self.writer,
                 time_us=cyber_range.simulator.now,
             )
         else:
-            cyber_range.pointdb.set(self.key, self.value)
+            pointdb.write_now(handle, self.value)
         return f"{self.key} <- {self.value}"
 
     def to_spec(self) -> dict:
@@ -183,10 +187,6 @@ class InjectBreakerAction(Action):
         # The injector binds to one range's attacker host; a scenario
         # re-run against a different range must not reuse it.
         if self._injector is None or self._injector_range is not cyber_range:
-            # Imported here: repro.attacks pulls in the playbook shim, which
-            # imports this package — a module-level import would cycle.
-            from repro.attacks.fci import FalseCommandInjector
-
             host = cyber_range.network.hosts.get(self.attacker)
             if host is None:
                 if not self.switch:
@@ -259,8 +259,6 @@ class MitmSpoofAction(Action):
         # One pipeline per range: re-running against a fresh range must
         # not reuse a host bound to the old one (InjectBreakerAction idiom).
         if self._pipeline is None or self._pipeline_range is not cyber_range:
-            from repro.attacks.mitm import MeasurementSpoofer, MitmPipeline
-
             host = cyber_range.network.hosts.get(self.attacker)
             if host is None:
                 if not self.switch:

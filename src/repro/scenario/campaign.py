@@ -326,8 +326,11 @@ class Campaign:
         unit the process-pool executor ships to workers — so
         ``ShardedCampaign(campaign, workers=N)`` is provably equivalent
         to this serial path (the determinism-differential suite pins it).
+        Reused-range mode runs each spec through the same
+        :func:`~repro.scenario.sharding.run_on_range` step on one shared
+        range.
         """
-        from repro.scenario.sharding import run_one
+        from repro.scenario.sharding import run_on_range, run_one
         from repro.sgml.processor import SgmlProcessor
 
         report = CampaignReport(
@@ -335,64 +338,40 @@ class Campaign:
             dry_run=False,
             reuse_range=self.reuse_range,
         )
+        shared = None  # the reused range, compiled on first use
+
+        def shared_range():
+            nonlocal shared
+            if shared is None:
+                shared = SgmlProcessor(self.model, seed=self.seed).compile()
+                shared.start()
+                if self.settle_s > 0:
+                    shared.run_for(self.settle_s)
+            return shared
+
         # sgml: lint-ok[det-wallclock] wall accounting
         campaign_start = time.perf_counter()
-        shared_range = None
         for member in self.scenarios:
-            if not self.reuse_range:
-                report.results.append(
-                    run_one(
-                        self.model,
-                        member.spec,
-                        self.member_seed(member),
-                        self.settle_s,
-                        self.default_duration_s,
-                        name=member.name,
-                        source=member.source,
-                    )
+            if self.reuse_range:
+                result = run_on_range(
+                    member.spec,
+                    shared_range,
+                    0.0,
+                    self.default_duration_s,
+                    name=member.name,
+                    source=member.source,
+                    seed=self.member_seed(member),
                 )
-                continue
-            result: dict = {
-                "name": member.name,
-                "source": member.source,
-                "seed": self.member_seed(member),
-            }
-            # sgml: lint-ok[det-wallclock] wall accounting
-            wall_start = time.perf_counter()
-            try:
-                scenario = Scenario.from_spec(member.spec)
-                if shared_range is None:
-                    shared_range = SgmlProcessor(
-                        self.model, seed=self.seed
-                    ).compile()
-                    shared_range.start()
-                    if self.settle_s > 0:
-                        shared_range.run_for(self.settle_s)
-                cyber_range = shared_range
-                duration_s = (
-                    scenario.duration_s
-                    if scenario.duration_s
-                    else self.default_duration_s
+            else:
+                result = run_one(
+                    self.model,
+                    member.spec,
+                    self.member_seed(member),
+                    self.settle_s,
+                    self.default_duration_s,
+                    name=member.name,
+                    source=member.source,
                 )
-                stats_before = cyber_range.data_plane_stats()
-                run = cyber_range.run_scenario(
-                    scenario, duration_s, settle_s=0.0
-                )
-                stats_after = cyber_range.data_plane_stats()
-                result.update(run.to_dict())
-                result["name"] = member.name  # provenance beats spec name
-                result["seed"] = cyber_range.seed
-                result["branch_path"] = run.branch_path()
-                result["data_plane_delta"] = {
-                    key: stats_after[key] - stats_before.get(key, 0)
-                    for key in stats_after
-                    if isinstance(stats_after[key], (int, float))
-                }
-            except Exception as exc:
-                result["passed"] = False
-                result["error"] = str(exc)
-            # sgml: lint-ok[det-wallclock] wall accounting
-            result["wall_s"] = time.perf_counter() - wall_start
             report.results.append(result)
         # sgml: lint-ok[det-wallclock] wall accounting
         report.wall_s = time.perf_counter() - campaign_start

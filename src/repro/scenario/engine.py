@@ -42,7 +42,7 @@ class ScenarioRunError(Exception):
 
 @dataclass
 class ActionRecord:
-    """One executed action, playbook-log compatible."""
+    """One executed action: an entry of the after-action log."""
 
     time_s: float
     team: str
@@ -224,17 +224,17 @@ class ScenarioRun:
         return self.pointdb.get(key)
 
     def read_handle(self, handle: PointHandle) -> Any:
-        return self.pointdb.registry.read(handle)
+        return self.pointdb.read(handle)
 
     def subscribe_point(
         self, handle: PointHandle, callback: Callable[[PointHandle, Any], None]
     ) -> None:
-        self.pointdb.subscribe_handle(handle, callback)
+        self.pointdb.subscribe(handle, callback)
 
     def unsubscribe_point(
         self, handle: PointHandle, callback: Callable[[PointHandle, Any], None]
     ) -> None:
-        self.pointdb.unsubscribe_handle(handle, callback)
+        self.pointdb.unsubscribe(handle, callback)
 
     def on_phase_complete(
         self, phase_name: str, callback: Callable[[float], None]

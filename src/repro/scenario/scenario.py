@@ -1,12 +1,11 @@
 """The declarative Scenario model: named phases, triggers, actions, outcomes.
 
-A :class:`Scenario` replaces the timestamp-scripted playbook as the
-first-class experiment/training artifact (the paper's "automated generation
-of cybersecurity experiments and training").  Each :class:`Phase` is armed
-by a trigger (:func:`~repro.scenario.triggers.at`, :func:`~repro.scenario.
-triggers.when`, :func:`~repro.scenario.triggers.after`, ``all_of`` /
-``any_of``) and carries an ordered list of actions plus optional scored
-outcomes.
+A :class:`Scenario` is the first-class experiment/training artifact (the
+paper's "automated generation of cybersecurity experiments and training").
+Each :class:`Phase` is armed by a trigger (:func:`~repro.scenario.
+triggers.at`, :func:`~repro.scenario.triggers.when`, :func:`~repro.
+scenario.triggers.after`, ``all_of`` / ``any_of``) and carries an ordered
+list of actions plus optional scored outcomes.
 
 Construction styles:
 
@@ -15,11 +14,10 @@ Construction styles:
 * **Declarative spec** — :meth:`Scenario.from_spec` consumes a plain dict
   (JSON/YAML-shaped; the ``sgml scenario`` CLI subcommand loads such files),
   making scenarios portable data rather than code.
-* **Playbook compat** — :meth:`Scenario.from_playbook` converts a legacy
-  :class:`~repro.attacks.exercise.ExercisePlaybook` into one ``at()``-
-  triggered phase per scripted action.  Actions sharing a timestamp keep
-  their insertion order: the playbook sort is stable and the engine arms
-  phases (and the kernel fires same-instant events) in declaration order.
+
+Phases triggered at the same ``at()`` instant fire and log in declaration
+order: the engine arms phases, and the kernel fires same-instant events,
+in declaration order.
 """
 
 from __future__ import annotations
@@ -451,33 +449,6 @@ class Scenario:
         if phase.max_visits != 1:
             phase_spec["max_visits"] = phase.max_visits
         return phase_spec
-
-    # ------------------------------------------------------------------
-    # Playbook compatibility
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_playbook(cls, playbook: Any) -> "Scenario":
-        """Convert a legacy :class:`ExercisePlaybook` to a scenario.
-
-        One ``at()``-triggered phase per scripted action.  The sort by
-        ``time_s`` is *stable*, so actions scheduled at the same instant
-        keep the order they were added to the playbook — e.g. a red strike
-        added before a blue response at the same timestamp executes first.
-        This ordering is part of the compat contract and covered by tests.
-        """
-        scenario = cls(name=playbook.name)
-        ordered = sorted(playbook.actions, key=lambda a: a.time_s)
-        for index, step in enumerate(ordered, start=1):
-            phase = Phase(
-                name=f"step{index}",
-                trigger=AtTrigger(step.time_s),
-                team=step.team,
-            )
-            phase.actions.append(
-                CallAction(description=step.description, fn=step.execute)
-            )
-            scenario.add(phase)
-        return scenario
 
 
 #: Allowed companion keys per trigger form — a typo ('hysterisis') or two

@@ -12,7 +12,8 @@ state.  This module is that fan-out layer:
   seed, it compiles a fresh range, runs the scenario and returns the same
   per-run result dict :meth:`Campaign.run` produces serially.  Workers
   cache the parsed model set per directory (:data:`_MODEL_CACHE`), so a
-  sweep pays one SCL parse per worker, not per scenario.
+  sweep pays one SCL parse per worker, not per scenario.  The run itself
+  is :func:`run_on_range`, the step a reused-range sweep calls too.
 * :func:`derive_seed` — deterministic per-scenario seeds,
   ``seed_root + stable_hash(name)``.  The hash is SHA-256-based (never
   :func:`hash`, which is salted per process), so serial, sharded and
@@ -45,10 +46,11 @@ from __future__ import annotations
 
 import hashlib
 import os
+import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.scenario.campaign import (
     Campaign,
@@ -58,6 +60,9 @@ from repro.scenario.campaign import (
 )
 from repro.scenario.scenario import Scenario
 from repro.sgml.modelset import SgmlModelSet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.range import CyberRange
 
 #: Result fields that carry wall-clock measurements — excluded from the
 #: sharded-vs-serial differential (everything else must match exactly).
@@ -143,9 +148,62 @@ def _apply_test_hook(hook: dict) -> None:
     if hook.get("raise"):
         raise RuntimeError(str(hook["raise"]))
     if hook.get("kill"):
-        import signal
-
         os.kill(os.getpid(), signal.SIGKILL)
+
+
+def run_on_range(
+    spec: dict,
+    acquire_range: Callable[[], "CyberRange"],
+    settle_s: float,
+    duration_s: float,
+    *,
+    name: Optional[str] = None,
+    source: str = "",
+    seed: int,
+    close: bool = False,
+) -> dict:
+    """Run one scenario spec on the range ``acquire_range()`` returns.
+
+    The per-run step both campaign modes share: a fresh-range run
+    acquires a newly compiled range and closes it afterwards (``close``),
+    a reused-range sweep acquires the one shared range.  ``duration_s`` is
+    the campaign default — a spec carrying its own ``duration_s`` wins.
+    Never raises: any failure (parse, compile, run, timeout) comes back as
+    a structured ``{"passed": False, "error": ...}`` result so one bad
+    spec cannot sink a sweep.
+    """
+    result: dict = {
+        "name": name if name is not None else str(spec.get("name", "scenario")),
+        "source": source,
+        "seed": int(seed),
+    }
+    # sgml: lint-ok[det-wallclock] wall accounting
+    wall_start = time.perf_counter()
+    try:
+        scenario = Scenario.from_spec(spec)
+        cyber_range = acquire_range()
+        stats_before = cyber_range.data_plane_stats()
+        run = cyber_range.run_scenario(
+            scenario, scenario.duration_s or duration_s, settle_s=settle_s
+        )
+        stats_after = cyber_range.data_plane_stats()
+        result.update(run.to_dict())
+        result["branch_path"] = run.branch_path()
+        result["data_plane_delta"] = {
+            key: stats_after[key] - stats_before.get(key, 0)
+            for key in stats_after
+            if isinstance(stats_after[key], (int, float))
+        }
+        if close:
+            cyber_range.close()
+    except Exception as exc:
+        result["passed"] = False
+        result["error"] = str(exc)
+        if isinstance(exc, _RunTimeout):
+            result["timed_out"] = True
+    # sgml: lint-ok[det-wallclock] wall accounting
+    result["wall_s"] = time.perf_counter() - wall_start
+    return result
 
 
 def run_one(
@@ -161,81 +219,44 @@ def run_one(
 ) -> dict:
     """Execute one fresh-range scenario run; the picklable sweep unit.
 
-    ``duration_s`` is the campaign default — a spec carrying its own
-    ``duration_s`` wins, exactly as in the serial path.  Never raises:
-    any failure (parse, compile, run, timeout) comes back as a structured
-    ``{"passed": False, "error": ...}`` result so one bad spec cannot
-    sink a sweep.  ``timeout_s`` is enforced with ``SIGALRM`` (worker
-    processes run jobs on their main thread); on platforms without it the
-    timeout is best-effort skipped.
+    Compiles a range from ``model_ref`` under ``seed`` and hands it to
+    :func:`run_on_range`, so it never raises either.  ``timeout_s`` is
+    enforced with ``SIGALRM`` (worker processes run jobs on their main
+    thread); on platforms without it the timeout is best-effort skipped.
     """
-    result: dict = {
-        "name": name if name is not None else str(spec.get("name", "scenario")),
-        "source": source,
-        "seed": int(seed),
-    }
-    # sgml: lint-ok[det-wallclock] wall accounting
-    wall_start = time.perf_counter()
-    timer_armed = False
-    try:
-        if timeout_s is not None and hasattr(__import__("signal"), "SIGALRM"):
-            import signal
+    hook = None
+    if TEST_HOOK_KEY in spec and (
+        os.environ.get(TEST_HOOKS_ENV, "") not in ("", "0")
+    ):
+        hook = spec[TEST_HOOK_KEY]
+        spec = {k: v for k, v in spec.items() if k != TEST_HOOK_KEY}
+    # (without the env var the marker key stays in the spec and is
+    # rejected by Scenario.from_spec like any unknown field)
 
-            def _on_alarm(signum, frame):
-                raise _RunTimeout()
-
-            signal.signal(signal.SIGALRM, _on_alarm)
-            signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
-            timer_armed = True
-        if TEST_HOOK_KEY in spec and (
-            os.environ.get(TEST_HOOKS_ENV, "") not in ("", "0")
-        ):
-            hook = spec[TEST_HOOK_KEY]
-            spec = {k: v for k, v in spec.items() if k != TEST_HOOK_KEY}
-            _apply_test_hook(hook)
-        # (without the env var the marker key stays in the spec and is
-        # rejected by Scenario.from_spec like any unknown field)
+    def compile_range() -> "CyberRange":
         from repro.sgml.processor import SgmlProcessor
 
-        scenario = Scenario.from_spec(spec)
+        if hook is not None:
+            _apply_test_hook(hook)
         model = _resolve_model(model_ref)
-        cyber_range = SgmlProcessor(model, seed=int(seed)).compile()
-        run_duration_s = (
-            scenario.duration_s if scenario.duration_s else duration_s
+        return SgmlProcessor(model, seed=int(seed)).compile()
+
+    timer_armed = timeout_s is not None and hasattr(signal, "SIGALRM")
+    if timer_armed:
+        def _on_alarm(signum, frame):
+            raise _RunTimeout(f"per-run timeout after {timeout_s:g}s")
+
+        signal.signal(signal.SIGALRM, _on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, float(timeout_s))
+    try:
+        return run_on_range(
+            spec, compile_range, settle_s, duration_s,
+            name=name, source=source, seed=seed, close=True,
         )
-        stats_before = cyber_range.data_plane_stats()
-        run = cyber_range.run_scenario(
-            scenario, run_duration_s, settle_s=settle_s
-        )
-        stats_after = cyber_range.data_plane_stats()
-        result.update(run.to_dict())
-        result["name"] = (
-            name if name is not None else result["name"]
-        )  # provenance beats spec name
-        result["seed"] = int(seed)
-        result["branch_path"] = run.branch_path()
-        result["data_plane_delta"] = {
-            key: stats_after[key] - stats_before.get(key, 0)
-            for key in stats_after
-            if isinstance(stats_after[key], (int, float))
-        }
-        cyber_range.close()
-    except _RunTimeout:
-        result["passed"] = False
-        result["error"] = f"per-run timeout after {timeout_s:g}s"
-        result["timed_out"] = True
-    except Exception as exc:
-        result["passed"] = False
-        result["error"] = str(exc)
     finally:
         if timer_armed:
-            import signal
-
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
-    # sgml: lint-ok[det-wallclock] wall accounting
-    result["wall_s"] = time.perf_counter() - wall_start
-    return result
 
 
 def worker_crash_result(name: str, source: str, seed: int) -> dict:

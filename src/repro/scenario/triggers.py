@@ -4,10 +4,9 @@ Triggers are *armed* against a running range by the scenario engine and
 call back exactly once (unless ``repeat=True``) when their firing
 condition is met:
 
-* :func:`at` — a fixed virtual time offset from scenario start (the old
-  playbook semantics).
+* :func:`at` — a fixed virtual time offset from scenario start.
 * :func:`when` — a data-plane condition.  Compiled to
-  ``PointDatabase.subscribe_handle`` delta callbacks: the condition is
+  ``PointRegistry.subscribe`` delta callbacks: the condition is
   re-evaluated only when one of its input points actually changes value,
   so an idle condition costs **zero** kernel events and zero polling.
   Supports rising-edge (default) or level semantics plus a hysteresis

@@ -145,7 +145,7 @@ class EventBroker:
         if self._range is not None:
             raise BrokerError("broker is already attached to a range")
         self._range = cyber_range
-        cyber_range.pointdb.registry.subscribe_all(self._on_point)
+        cyber_range.pointdb.subscribe_all(self._on_point)
         for hmi in cyber_range.hmis.values():
             hmi.alarm_observer = self._on_alarm
         if self.stats_period_s > 0:
@@ -163,7 +163,7 @@ class EventBroker:
         if self._stats_task is not None:
             self._stats_task.stop()
             self._stats_task = None
-        cyber_range.pointdb.registry.unsubscribe_all(self._on_point)
+        cyber_range.pointdb.unsubscribe_all(self._on_point)
         for hmi in cyber_range.hmis.values():
             if hmi.alarm_observer is self._on_alarm:
                 hmi.alarm_observer = None

@@ -305,9 +305,12 @@ class ServiceClient:
 
         Keepalive and ``stream_open`` meta events do not count toward
         ``max_events`` but are included in the returned list, so callers
-        see drop accounting (``keepalive.dropped``) too.
+        see drop accounting (``keepalive.dropped``) too.  ``timeout_s`` is
+        one deadline for the whole call: the events collected by then are
+        returned, however many keepalives arrived in between.
         """
         deadline_s = timeout_s if timeout_s is not None else self.timeout_s
+        deadline = time.monotonic() + deadline_s
         query = f"?channels={','.join(channels)}" if channels else ""
         path = f"/v1/sessions/{session_id}/events{query}"
         sock = socket.create_connection(
@@ -356,6 +359,10 @@ class ServiceClient:
                             break
                 if counted >= max_events:
                     break
+                remaining_s = deadline - time.monotonic()
+                if remaining_s <= 0:
+                    return events
+                sock.settimeout(remaining_s)
                 try:
                     chunk = sock.recv(4096)
                 except socket.timeout:

@@ -435,7 +435,7 @@ class RangeSession:
     def points(self, prefix: str = "") -> dict[str, Any]:
         """Live snapshot of the session's point registry."""
         self._require_open()
-        return self.cyber_range.pointdb.registry.snapshot(prefix)
+        return self.cyber_range.pointdb.snapshot(prefix)
 
     def report(self) -> dict:
         """After-action report: campaign-schema entries per scenario run.

@@ -26,7 +26,7 @@ from typing import Optional
 from repro.kernel import Simulator
 from repro.ied import IedDataModel, IedRuntimeConfig, VirtualIed
 from repro.plc import VirtualPlc
-from repro.pointdb import PointDatabase
+from repro.pointdb import PointRegistry
 from repro.powersim import Network
 from repro.powersim.timeseries import SimulationScenario, TimeSeriesRunner
 from repro.range import CyberRange
@@ -124,7 +124,7 @@ class SgmlProcessor:
         )
 
         # Shared infrastructure.
-        pointdb = PointDatabase()
+        pointdb = PointRegistry()
         scenario = model.scenario or SimulationScenario()
         runner = TimeSeriesRunner(power_net, scenario)
         cyber_range = CyberRange(
@@ -171,7 +171,7 @@ class SgmlProcessor:
         # Data-plane accounting: every handle the range will ever touch is
         # resolved by now (coupling + device constructors above), so the
         # registry size is the compile-time point universe.
-        self.artifacts.point_registry_size = pointdb.registry.size
+        self.artifacts.point_registry_size = pointdb.size
         self.artifacts.coupling_handle_count = cyber_range.coupling.handle_count
         self.artifacts.device_handle_counts = {
             name: ied.handle_count for name, ied in cyber_range.ieds.items()
@@ -195,7 +195,7 @@ class SgmlProcessor:
         self,
         cyber_range: CyberRange,
         merged_scd: SclDocument,
-        pointdb: PointDatabase,
+        pointdb: PointRegistry,
     ) -> None:
         icd_by_name = self.model.all_icd_ieds()
         for ied_name, runtime_config in self.model.ied_configs.items():

@@ -57,3 +57,11 @@ def running_epic(epic_range):
     epic_range.start()
     epic_range.run_for(2.0)
     return epic_range
+
+
+@pytest.fixture
+def write_point():
+    """String-keyed write for tests: ``write_point(registry, key, value)``."""
+    return lambda registry, key, value: registry.write_now(
+        registry.resolve(key), value
+    )

@@ -13,6 +13,7 @@ digest, to values recorded with the reference encoder.
 
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -25,7 +26,9 @@ from repro.iec61850 import (
     SvPublisher,
     encode_value,
 )
+from repro.iec61850.codec import CodecError, decode_value, typed_fields
 from repro.iec61850.goose import GOOSE_MAX_INTERVAL_US, GOOSE_MIN_INTERVAL_US
+from repro.iec61850.rgoose import _unwrap_uncached
 from repro.kernel import MS, SECOND
 
 
@@ -289,3 +292,51 @@ def scaleout5_dir(tmp_path_factory):
 
 def test_storm_range_payloads_match_reference_golden(scaleout5_dir):
     assert storm_fingerprint(scaleout5_dir) == STORM_GOLDEN
+
+
+def _unwrap_reference(data):
+    """The session wrapper read by the general decoder alone."""
+    decoded = decode_value(data)
+    if not isinstance(decoded, dict):
+        raise CodecError("session wrapper is not a map")
+    return typed_fields(
+        decoded, (("sessionType", str, ""), ("payload", bytes, b""))
+    )
+
+
+def _outcome(unwrap, data):
+    try:
+        return ("ok", unwrap(data))
+    except CodecError:
+        return ("error",)
+
+
+@pytest.mark.parametrize("session_type", ["r-goose", "r-sv"])
+def test_session_unwrap_matches_general_decode(session_type):
+    """The receive side of the session template: a wrapper is split by its
+    headers, and that split agrees with a full decode on well-formed
+    wrappers (short- and long-form lengths) and on byte-level mutations of
+    them (flips, insertions, deletions, truncations)."""
+    rnd = random.Random(session_type)
+    for _ in range(3000):
+        size = rnd.choice([0, 1, 100, 127, 128, 300])
+        payload = bytes(rnd.randrange(256) for _ in range(size))
+        data = bytearray(session_wrap(session_type, payload))
+        assert _unwrap_uncached(bytes(data)) == [session_type, payload]
+        for _ in range(rnd.choice([1, 1, 2, 3])):
+            index = rnd.randrange(len(data))
+            operation = rnd.randrange(4)
+            if operation == 0:
+                data[index] = rnd.randrange(256)
+            elif operation == 1:
+                data.insert(index, rnd.randrange(256))
+            elif operation == 2:
+                del data[index]
+            else:
+                del data[index:]
+            if not data:
+                break
+        mutated = bytes(data)
+        assert _outcome(_unwrap_uncached, mutated) == _outcome(
+            _unwrap_reference, mutated
+        )

@@ -1,14 +1,10 @@
-"""Training-exercise drill on the EPIC range — scenario API edition.
-
-The drill that used to live on :class:`ExercisePlaybook` now builds a
-:class:`~repro.scenario.Scenario` directly (the ROADMAP deprecation path);
-only the shim-contract tests at the bottom still touch the playbook, and
-they assert the :class:`DeprecationWarning` it now emits.
-"""
+"""Training-exercise drill on the EPIC range: a red/white/blue CB_T1
+open-and-reclose drill built as timed :class:`~repro.scenario.Scenario`
+phases."""
 
 import pytest
 
-from repro.attacks import ExercisePlaybook, FalseCommandInjector
+from repro.attacks import FalseCommandInjector
 from repro.scenario import Scenario, at
 
 TBUS_VM = "meas/EPIC/VL1/TransmissionBay/TBUS/vm_pu"
@@ -77,27 +73,3 @@ def test_drill_after_action_report_format(drill_run):
     assert "after-action report: cb-open-drill" in report
     assert "( blue)" in report or "(blue)" in report.replace(" ", "")
     assert "FAILED" in report
-
-
-# ---------------------------------------------------------------------------
-# Playbook shim contract (the frozen compat surface, nothing more)
-# ---------------------------------------------------------------------------
-
-
-def test_playbook_shim_warns_and_still_runs(running_epic):
-    cr = running_epic
-    playbook = ExercisePlaybook(name="legacy-drill")
-    playbook.add(1.0, "white marker", lambda r: "noted", team="white")
-    with pytest.deprecated_call():
-        playbook.run(cr, duration_s=2.0)
-    assert [entry.result for entry in playbook.log] == ["noted"]
-
-
-def test_playbook_to_scenario_does_not_warn(recwarn):
-    playbook = ExercisePlaybook(name="convert-only")
-    playbook.add(1.0, "step", lambda r: None)
-    scenario = playbook.to_scenario()
-    assert [p.trigger.describe() for p in scenario.phases] == ["at 1s"]
-    assert not [
-        w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-    ]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.kernel import MS, SECOND, Simulator
 from repro.netem import VirtualNetwork
-from repro.pointdb import PointDatabase
+from repro.pointdb import PointRegistry
 from repro.scl import parse_scl
 from repro.iec61850 import MmsClient, MmsError
 from repro.ied import (
@@ -207,16 +207,16 @@ def test_engine_close_permitted_aggregates():
 
 
 @pytest.fixture
-def ied_setup(sim):
+def ied_setup(sim, write_point):
     net = VirtualNetwork(sim)
     net.add_switch("sw")
     host = net.add_host("IED1", "10.0.0.10")
     client_host = net.add_host("cli", "10.0.0.99")
     net.add_link("IED1", "sw")
     net.add_link("cli", "sw")
-    db = PointDatabase()
-    db.set("meas/L1/i_ka", 0.05)
-    db.set("status/CB1/closed", True)
+    db = PointRegistry()
+    write_point(db, "meas/L1/i_ka", 0.05)
+    write_point(db, "status/CB1/closed", True)
     model = IedDataModel.from_icd(parse_scl(ICD).ieds[0])
     config = IedRuntimeConfig(
         ied_name="IED1",
@@ -246,18 +246,18 @@ def ied_setup(sim):
     return net, db, device, client_host
 
 
-def test_device_syncs_measurements(ied_setup, sim):
+def test_device_syncs_measurements(ied_setup, sim, write_point):
     _, db, device, _ = ied_setup
     sim.run_for(SECOND)
     assert device.model.read("IED1LD0/MMXU1.A.phsA.cVal.mag.f") == 0.05
-    db.set("meas/L1/i_ka", 0.07)
+    write_point(db, "meas/L1/i_ka", 0.07)
     sim.run_for(100 * MS)
     assert device.model.read("IED1LD0/MMXU1.A.phsA.cVal.mag.f") == 0.07
 
 
-def test_device_protection_trip_writes_command(ied_setup, sim):
+def test_device_protection_trip_writes_command(ied_setup, sim, write_point):
     _, db, device, _ = ied_setup
-    db.set("meas/L1/i_ka", 0.9)  # above 0.2 kA threshold
+    write_point(db, "meas/L1/i_ka", 0.9)  # above 0.2 kA threshold
     sim.run_for(SECOND)
     commands = db.drain_commands()
     assert any(
@@ -272,9 +272,9 @@ def test_device_threshold_setting_in_model(ied_setup):
     assert device.model.read("IED1LD0/PTOC1.StrVal.setMag.f") == pytest.approx(0.2)
 
 
-def test_device_mms_control_respects_interlock(ied_setup, sim):
+def test_device_mms_control_respects_interlock(ied_setup, sim, write_point):
     _, db, device, client_host = ied_setup
-    db.set("status/CB_UP/closed", False)  # interlock open → close blocked
+    write_point(db, "status/CB_UP/closed", False)  # interlock open
     client = MmsClient(client_host, "10.0.0.10")
     client.connect()
     replies = []
@@ -319,7 +319,7 @@ def test_device_mms_read_only_rejected(ied_setup, sim):
     assert replies and "read-only" in replies[0]
 
 
-def test_device_goose_dataset_reflects_breaker(ied_setup, sim):
+def test_device_goose_dataset_reflects_breaker(ied_setup, sim, write_point):
     net, db, device, _ = ied_setup
     from repro.iec61850 import GooseSubscriber
 
@@ -334,7 +334,7 @@ def test_device_goose_dataset_reflects_breaker(ied_setup, sim):
     entries = {tuple(e[:2]): e for e in updates[-1] if isinstance(e, list)}
     assert entries[("breaker", "CB1")][2] is True
     # Open the breaker: the state change is published with a new stNum.
-    db.set("status/CB1/closed", False)
+    write_point(db, "status/CB1/closed", False)
     sim.run_for(SECOND)
     entries = {tuple(e[:2]): e for e in updates[-1] if isinstance(e, list)}
     assert entries[("breaker", "CB1")][2] is False

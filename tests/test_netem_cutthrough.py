@@ -553,15 +553,12 @@ def test_path_cache_hits_and_recompiles(sim):
     assert stats["delivery_events"] == stats["deliveries"] == 10
 
 
-def test_cut_through_env_opt_out(sim, monkeypatch):
-    monkeypatch.setenv("REPRO_NETEM_CUT_THROUGH", "0")
-    net = VirtualNetwork(sim)
+def test_cut_through_constructor_opt_out(sim):
+    net = VirtualNetwork(sim, cut_through=False)
     assert net.cut_through is False
     host = net.add_host("a", "10.0.0.1")
     assert host.plane is None
-    monkeypatch.setenv("REPRO_NETEM_CUT_THROUGH", "1")
-    net2 = VirtualNetwork(sim)
-    assert net2.cut_through is True
+    assert VirtualNetwork(sim).cut_through is True  # the default
 
 
 def test_set_cut_through_flips_mid_run(sim):

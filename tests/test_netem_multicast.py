@@ -398,13 +398,10 @@ def test_goose_subscriber_joins_and_batched_decode():
     assert net.forwarding_stats()["mcast_flooded_sends"] == 0
 
 
-def test_mcast_prune_env_opt_out(sim, monkeypatch):
-    monkeypatch.setenv("REPRO_NETEM_MCAST_PRUNE", "0")
-    net = VirtualNetwork(sim)
+def test_mcast_prune_constructor_opt_out(sim):
+    net = VirtualNetwork(sim, multicast_prune=False)
     assert net.multicast_prune is False
-    monkeypatch.setenv("REPRO_NETEM_MCAST_PRUNE", "1")
-    net2 = VirtualNetwork(sim)
-    assert net2.multicast_prune is True
+    assert VirtualNetwork(sim).multicast_prune is True  # the default
 
 
 def test_hop_by_hop_plane_prunes_identically():

@@ -1,90 +1,91 @@
-"""Point database: measurement cache, command-drain semantics, and the
-typed point-handle registry (interning, dirty-set flush, delta subscribers)."""
+"""Point registry: measurement cache, command-drain semantics, interning,
+dirty-set flush and delta subscribers."""
 
 import math
 
-from repro.pointdb import (
-    PointDatabase,
-    PointRegistry,
-    PointType,
-    parse_bool,
-)
+from repro.pointdb import PointRegistry, PointType, parse_bool
 
 
-def test_set_get_defaults():
-    db = PointDatabase()
-    assert db.get("missing") is None
-    assert db.get("missing", 7) == 7
-    db.set("meas/bus/vm_pu", 1.02)
-    assert db.get("meas/bus/vm_pu") == 1.02
+def test_set_get_defaults(write_point):
+    registry = PointRegistry()
+    assert registry.get("missing") is None
+    assert registry.get("missing", 7) == 7
+    assert registry.size == 0  # a text read never interns the key
+    write_point(registry, "meas/bus/vm_pu", 1.02)
+    assert registry.get("meas/bus/vm_pu") == 1.02
 
 
-def test_typed_getters():
-    db = PointDatabase()
-    db.set("a", "not-a-number")
-    assert db.get_float("a", 9.9) == 9.9
-    db.set("b", 3)
-    assert db.get_float("b") == 3.0
-    db.set("c", 0)
-    assert db.get_bool("c") is False
-    assert db.get_bool("missing", True) is True
+def test_typed_getters(write_point):
+    registry = PointRegistry()
+    write_point(registry, "a", "not-a-number")
+    assert registry.get_float(registry.resolve("a"), 9.9) == 9.9
+    write_point(registry, "b", 3)
+    assert registry.get_float(registry.resolve("b")) == 3.0
+    write_point(registry, "c", 0)
+    assert registry.get_bool(registry.resolve("c")) is False
+    assert registry.get_bool(registry.resolve("missing"), True) is True
 
 
-def test_keys_prefix_scan():
-    db = PointDatabase()
-    db.set("meas/a/p", 1)
-    db.set("meas/b/p", 2)
-    db.set("status/cb/closed", True)
-    assert db.keys("meas/") == ["meas/a/p", "meas/b/p"]
-    assert len(db.keys()) == 3
-    assert db.snapshot("status/") == {"status/cb/closed": True}
+def test_keys_prefix_scan(write_point):
+    registry = PointRegistry()
+    write_point(registry, "meas/a/p", 1)
+    write_point(registry, "meas/b/p", 2)
+    write_point(registry, "status/cb/closed", True)
+    assert registry.keys("meas/") == ["meas/a/p", "meas/b/p"]
+    assert len(registry.keys()) == 3
+    assert registry.snapshot("status/") == {"status/cb/closed": True}
 
 
 def test_command_drain_exactly_once():
-    db = PointDatabase()
-    db.write_command("cmd/CB1/close", False, writer="ied1", time_us=100)
-    db.write_command("cmd/CB2/close", True, writer="ied2", time_us=200)
-    drained = db.drain_commands()
+    registry = PointRegistry()
+    cb1 = registry.resolve("cmd/CB1/close")
+    cb2 = registry.resolve("cmd/CB2/close")
+    registry.write_command(cb1, False, writer="ied1", time_us=100)
+    registry.write_command(cb2, True, writer="ied2", time_us=200)
+    drained = registry.drain_commands()
     assert [(w.key, w.value, w.writer) for w in drained] == [
         ("cmd/CB1/close", False, "ied1"),
         ("cmd/CB2/close", True, "ied2"),
     ]
-    assert db.drain_commands() == []
-    db.write_command("cmd/CB1/close", True, writer="ied1", time_us=300)
-    assert len(db.drain_commands()) == 1
+    assert registry.drain_commands() == []
+    registry.write_command(cb1, True, writer="ied1", time_us=300)
+    assert len(registry.drain_commands()) == 1
 
 
 def test_command_visible_via_get_immediately():
-    db = PointDatabase()
-    db.write_command("cmd/CB1/close", False)
-    assert db.get("cmd/CB1/close") is False
+    registry = PointRegistry()
+    registry.write_command(registry.resolve("cmd/CB1/close"), False)
+    assert registry.get("cmd/CB1/close") is False
 
 
 def test_command_history_is_audit_log():
-    db = PointDatabase()
+    registry = PointRegistry()
+    handle = registry.resolve("cmd/CB1/close")
     for index in range(5):
-        db.write_command("cmd/CB1/close", index % 2 == 0, time_us=index)
-    db.drain_commands()
-    assert len(db.command_history) == 5
+        registry.write_command(handle, index % 2 == 0, time_us=index)
+    registry.drain_commands()
+    assert len(registry.command_history) == 5
 
 
-def test_subscription_callbacks():
-    db = PointDatabase()
+def test_subscription_callbacks(write_point):
+    registry = PointRegistry()
+    watched = registry.resolve("watched")
     seen = []
-    db.subscribe("watched", lambda key, value: seen.append(value))
-    db.set("watched", 1)
-    db.set("other", 2)
-    db.write_command("watched", 3)
+    registry.subscribe(watched, lambda handle, value: seen.append(value))
+    write_point(registry, "watched", 1)
+    write_point(registry, "other", 2)
+    registry.write_command(watched, 3)
+    registry.write_command(watched, 3)  # unchanged: no callback
     assert seen == [1, 3]
 
 
-def test_container_protocol():
-    db = PointDatabase()
-    db.set("b", 1)
-    db.set("a", 2)
-    assert len(db) == 2
-    assert list(db) == ["a", "b"]
-    assert db.exists("a") and not db.exists("z")
+def test_container_protocol(write_point):
+    registry = PointRegistry()
+    write_point(registry, "b", 1)
+    write_point(registry, "a", 2)
+    registry.resolve("z")  # interned, never written
+    assert len(registry) == 2
+    assert list(registry) == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +94,19 @@ def test_container_protocol():
 
 
 def test_get_bool_parses_string_truthiness():
-    db = PointDatabase()
+    registry = PointRegistry()
+    handle = registry.resolve("s")
     for text in ("false", "False", "0", "off", "no", ""):
-        db.set("s", text)
-        assert db.get_bool("s") is False, text
+        registry.write_now(handle, text)
+        assert registry.get_bool(handle) is False, text
     for text in ("true", "TRUE", "1", "on", "yes"):
-        db.set("s", text)
-        assert db.get_bool("s") is True, text
-    db.set("s", "2.5")
-    assert db.get_bool("s") is True
-    db.set("s", "garbage")
-    assert db.get_bool("s", True) is True
-    assert db.get_bool("s", False) is False
+        registry.write_now(handle, text)
+        assert registry.get_bool(handle) is True, text
+    registry.write_now(handle, "2.5")
+    assert registry.get_bool(handle) is True
+    registry.write_now(handle, "garbage")
+    assert registry.get_bool(handle, True) is True
+    assert registry.get_bool(handle, False) is False
 
 
 def test_parse_bool_non_strings():
@@ -223,20 +225,19 @@ def test_registry_generation_counters_for_pull_consumers():
     assert registry.generation(handle) == last_seen
 
 
-def test_registry_string_views_match_database_api():
+def test_registry_string_views_match_database_api(write_point):
     registry = PointRegistry()
-    db = PointDatabase(registry=registry)
-    db.set("meas/a/p", 1)
+    write_point(registry, "meas/a/p", 1)
     handle = registry.resolve("meas/b/p", PointType.FLOAT)
     registry.write(handle, 2.0)
     registry.flush()
-    assert db.keys("meas/") == ["meas/a/p", "meas/b/p"]
-    assert db.snapshot("meas/") == {"meas/a/p": 1, "meas/b/p": 2.0}
-    assert db.get("meas/b/p") == 2.0
-    # Keys interned but never written are invisible to the string API.
+    assert registry.keys("meas/") == ["meas/a/p", "meas/b/p"]
+    assert registry.snapshot("meas/") == {"meas/a/p": 1, "meas/b/p": 2.0}
+    assert registry.get("meas/b/p") == 2.0
+    # Keys interned but never written are invisible to the text views.
     registry.resolve("meas/ghost/p")
-    assert not db.exists("meas/ghost/p")
-    assert "meas/ghost/p" not in db.keys()
+    assert registry.get("meas/ghost/p", "absent") == "absent"
+    assert "meas/ghost/p" not in registry.keys()
     assert registry.size == 3
 
 

@@ -9,7 +9,7 @@ from repro.powersim.timeseries import (
     SimulationScenario,
     TimeSeriesRunner,
 )
-from repro.pointdb import PointDatabase
+from repro.pointdb import PointRegistry
 from repro.range import CyberRange, PowerCoupling, RangeError
 from repro.kernel import Simulator
 from repro.netem import VirtualNetwork
@@ -37,52 +37,52 @@ def _small_power_net():
 
 def test_coupling_publishes_snapshot():
     net = _small_power_net()
-    db = PointDatabase()
+    db = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net), db)
     result = coupling.tick(0.0)
     assert result is not None
-    assert db.get_float("meas/A/vm_pu") == pytest.approx(1.0)
-    assert db.get_float("meas/L1/p_mw") > 3.9
-    assert db.get_bool("status/CB1/closed") is True
-    assert db.get_float("meas/system/hz") == 50.0
-    assert db.get_float("meas/LD1/p_mw") == pytest.approx(4.0)
+    assert db.get("meas/A/vm_pu") == pytest.approx(1.0)
+    assert db.get("meas/L1/p_mw") > 3.9
+    assert db.get("status/CB1/closed") is True
+    assert db.get("meas/system/hz") == 50.0
+    assert db.get("meas/LD1/p_mw") == pytest.approx(4.0)
 
 
 def test_coupling_applies_breaker_commands():
     net = _small_power_net()
-    db = PointDatabase()
+    db = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net), db)
     coupling.tick(0.0)
-    db.write_command("cmd/CB1/close", False, writer="test")
+    db.write_command(db.resolve("cmd/CB1/close"), False, writer="test")
     coupling.tick(0.1)
     assert coupling.applied_commands == 1
-    assert db.get_bool("status/CB1/closed") is False
-    assert db.get_float("meas/C/vm_pu") == 0.0
-    assert db.get_float("meas/L1/p_mw") == pytest.approx(0.0, abs=1e-9)
+    assert db.get("status/CB1/closed") is False
+    assert db.get("meas/C/vm_pu") == 0.0
+    assert db.get("meas/L1/p_mw") == pytest.approx(0.0, abs=1e-9)
 
 
 def test_coupling_flags_unknown_commands():
     net = _small_power_net()
-    db = PointDatabase()
+    db = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net), db)
-    db.write_command("cmd/GHOST/close", False)
+    db.write_command(db.resolve("cmd/GHOST/close"), False)
     coupling.tick(0.0)
     assert coupling.unknown_commands == ["cmd/GHOST/close"]
 
 
 def test_coupling_load_scale_command():
     net = _small_power_net()
-    db = PointDatabase()
+    db = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net), db)
     coupling.tick(0.0)
-    db.write_command("cmd/LD1/scale", 0.5)
+    db.write_command(db.resolve("cmd/LD1/scale"), 0.5)
     coupling.tick(0.1)
-    assert db.get_float("meas/LD1/p_mw") == pytest.approx(2.0)
+    assert db.get("meas/LD1/p_mw") == pytest.approx(2.0)
 
 
 def test_coupling_survives_divergence():
     net = _small_power_net()
-    db = PointDatabase()
+    db = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net), db)
     coupling.tick(0.0)
     net.loads[0].p_mw = 1e9  # unsolvable
@@ -97,11 +97,11 @@ def test_coupling_delta_publication_suppresses_steady_state():
     exactly once per changed value per tick, and a steady-state tick
     delivers ~nothing."""
     net = _small_power_net()
-    db = PointDatabase()
+    db = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net), db)
     handle = db.resolve("meas/A/vm_pu")
     seen = []
-    db.subscribe_handle(handle, lambda h, v: seen.append(v))
+    db.subscribe(handle, lambda h, v: seen.append(v))
     coupling.tick(0.0)
     assert len(seen) == 1  # first tick: the value is new
     changed_after_first = coupling.published_changes
@@ -111,7 +111,7 @@ def test_coupling_delta_publication_suppresses_steady_state():
     assert len(seen) == 1
     assert coupling.published_changes == changed_after_first
     # A real change is delivered exactly once on the tick that made it.
-    db.write_command("cmd/CB1/close", False, writer="test")
+    db.write_command(db.resolve("cmd/CB1/close"), False, writer="test")
     coupling.tick(0.3)
     slack_handle = db.resolve("meas/A/vm_pu")
     assert slack_handle.index == handle.index  # interning is stable
@@ -120,13 +120,13 @@ def test_coupling_delta_publication_suppresses_steady_state():
 
 def test_coupling_handles_resolved_once_at_construction():
     net = _small_power_net()
-    db = PointDatabase()
+    db = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net), db)
-    before = db.registry.size
+    before = db.size
     coupling.tick(0.0)
     coupling.tick(0.1)
     # The tick interns nothing new: the key universe is fixed up front.
-    assert db.registry.size == before
+    assert db.size == before
     assert coupling.handle_count > 0
 
 
@@ -139,11 +139,11 @@ def test_coupling_ext_grid_share_not_duplicated():
     net.add_ext_grid("gridB", b, vm_pu=1.0)
     net.add_line("L1", a, b, r_ohm=0.05, x_ohm=0.2, max_i_ka=0.4)
     net.add_load("LD1", b, p_mw=4.0, q_mvar=1.0)
-    db = PointDatabase()
+    db = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net), db)
     result = coupling.tick(0.0)
     assert result is not None
-    total = db.get_float("meas/gridA/p_mw") + db.get_float("meas/gridB/p_mw")
+    total = db.get("meas/gridA/p_mw") + db.get("meas/gridB/p_mw")
     assert total == pytest.approx(result.slack_p_mw)
 
 
@@ -152,12 +152,12 @@ def test_coupling_scenario_events_fire_at_tick_time():
     scenario = SimulationScenario(
         events=[ScenarioEvent(time_s=1.0, action="open_switch", target="CB1")]
     )
-    db = PointDatabase()
+    db = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net, scenario), db)
     coupling.tick(0.5)
-    assert db.get_bool("status/CB1/closed") is True
+    assert db.get("status/CB1/closed") is True
     coupling.tick(1.0)
-    assert db.get_bool("status/CB1/closed") is False
+    assert db.get("status/CB1/closed") is False
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def _bare_range():
     network.add_switch("sw")
     net = _small_power_net()
     return CyberRange(
-        simulator, network, net, TimeSeriesRunner(net), PointDatabase(),
+        simulator, network, net, TimeSeriesRunner(net), PointRegistry(),
         sim_interval_ms=100,
     )
 
@@ -243,7 +243,8 @@ def test_epic_overload_trips_ptoc_selectively(running_epic):
     Load_SH2 (not _SH1) because the scenario's load profile re-asserts
     Load_SH1's scaling every tick, by design."""
     cr = running_epic
-    cr.pointdb.write_command("cmd/Load_SH2/scale", 12.0, writer="test")
+    load_step = cr.pointdb.resolve("cmd/Load_SH2/scale")
+    cr.pointdb.write_command(load_step, 12.0, writer="test")
     cr.run_for(3.0)
     trips = [t for ied in cr.ieds.values() for t in ied.engine.trips]
     assert trips, "expected at least one over-current trip"
@@ -272,7 +273,8 @@ def test_epic_change_driven_ieds_idle_when_grid_steady(running_epic):
     # every 20 ms — 100 scans per IED over 2 s, ~1000 total for EPIC).
     assert scans < 20 * len(cr.ieds)
     # A disturbance re-activates the data plane and still trips protection.
-    cr.pointdb.write_command("cmd/Load_SH2/scale", 12.0, writer="test")
+    load_step = cr.pointdb.resolve("cmd/Load_SH2/scale")
+    cr.pointdb.write_command(load_step, 12.0, writer="test")
     cr.run_for(3.0)
     assert cr.data_plane_stats()["ied_scans"] > stats_after["ied_scans"]
     assert cr.breaker_state("CB_SH1") is False

@@ -1,6 +1,6 @@
 """Unit tests for the event-driven scenario subsystem (repro.scenario).
 
-These run against a bare Simulator + PointDatabase (no compiled range):
+These run against a bare Simulator + PointRegistry (no compiled range):
 the engine only needs ``simulator`` and ``pointdb`` attributes, which lets
 the trigger semantics be pinned down without power-flow noise.
 """
@@ -8,7 +8,7 @@ the trigger semantics be pinned down without power-flow noise.
 import pytest
 
 from repro.kernel import SECOND, Simulator
-from repro.pointdb import PointDatabase
+from repro.pointdb import PointRegistry
 from repro.scenario import (
     CallAction,
     Comparison,
@@ -27,7 +27,6 @@ from repro.scenario import (
     point,
     when,
 )
-from repro.attacks import ExercisePlaybook
 
 
 class FakeRange:
@@ -35,7 +34,7 @@ class FakeRange:
 
     def __init__(self):
         self.simulator = Simulator()
-        self.pointdb = PointDatabase()
+        self.pointdb = PointRegistry()
 
     def run_for(self, seconds):
         self.simulator.run_for(int(seconds * SECOND))
@@ -46,7 +45,7 @@ class FakeRange:
         return run.finish()
 
     def measurement(self, key):
-        return self.pointdb.get_float(key)
+        return float(self.pointdb.get(key, 0.0))
 
 
 @pytest.fixture
@@ -144,31 +143,48 @@ def test_equal_timestamp_phases_fire_in_declaration_order(rng):
     assert fired == ["red-strike", "blue-response"]
 
 
+def test_playbook_equal_timestamp_preserves_insertion_order():
+    """A timed exercise playbook: phases at the same at() instant fire and
+    log in declaration order, red-before-blue iff red was declared first,
+    with an earlier white phase still leading."""
+    for first, second in (("red", "blue"), ("blue", "red")):
+        fired = []
+        scenario = Scenario("ties")
+        _counting_phase(scenario, "setup", at(0.5), fired, team="white")
+        _counting_phase(scenario, first, at(1.0), fired, team=first)
+        _counting_phase(scenario, second, at(1.0), fired, team=second)
+        run = ScenarioRun(scenario, FakeRange()).start()
+        run.simulator.run_for(2 * SECOND)
+        run.finish()
+        assert fired == ["setup", first, second]
+        assert [entry.team for entry in run.log] == ["white", first, second]
+
+
 # ---------------------------------------------------------------------------
 # when() trigger edge/hysteresis semantics (the delta-subscription path)
 # ---------------------------------------------------------------------------
 
 
-def test_when_fires_once_on_rising_edge(rng):
+def test_when_fires_once_on_rising_edge(rng, write_point):
     fired = []
     scenario = Scenario("edge")
     _counting_phase(scenario, "strike", when(point("load") > 80), fired)
     run = ScenarioRun(scenario, rng).start()
-    rng.pointdb.set("load", 50.0)
+    write_point(rng.pointdb, "load", 50.0)
     rng.run_for(0.1)
     assert fired == []
-    rng.pointdb.set("load", 85.0)
+    write_point(rng.pointdb, "load", 85.0)
     rng.run_for(0.1)
     assert fired == ["strike"]
     # Still above threshold: no re-fire (edge, not level).
-    rng.pointdb.set("load", 90.0)
-    rng.pointdb.set("load", 95.0)
+    write_point(rng.pointdb, "load", 90.0)
+    write_point(rng.pointdb, "load", 95.0)
     rng.run_for(0.1)
     assert fired == ["strike"]
     assert run.records["strike"].fire_count == 1
 
 
-def test_when_ignores_unchanged_republication(rng):
+def test_when_ignores_unchanged_republication(rng, write_point):
     """Delta-suppression guarantee: equal writes never reach the trigger."""
     fired = []
     scenario = Scenario("suppress")
@@ -176,18 +192,18 @@ def test_when_ignores_unchanged_republication(rng):
         scenario, "strike", when(point("load") > 80, repeat=True), fired
     )
     ScenarioRun(scenario, rng).start()
-    rng.pointdb.set("load", 85.0)
+    write_point(rng.pointdb, "load", 85.0)
     rng.run_for(0.1)
     assert fired == ["strike"]
-    notifications_before = rng.pointdb.registry.notifications
+    notifications_before = rng.pointdb.notifications
     for _ in range(5):
-        rng.pointdb.set("load", 85.0)  # suppressed inside the registry
+        write_point(rng.pointdb, "load", 85.0)  # suppressed by the registry
     rng.run_for(0.1)
     assert fired == ["strike"]
-    assert rng.pointdb.registry.notifications == notifications_before
+    assert rng.pointdb.notifications == notifications_before
 
 
-def test_when_rearms_only_after_hysteresis_exit(rng):
+def test_when_rearms_only_after_hysteresis_exit(rng, write_point):
     fired = []
     scenario = Scenario("hysteresis")
     _counting_phase(
@@ -197,39 +213,39 @@ def test_when_rearms_only_after_hysteresis_exit(rng):
         fired,
     )
     ScenarioRun(scenario, rng).start()
-    rng.pointdb.set("load", 85.0)
+    write_point(rng.pointdb, "load", 85.0)
     rng.run_for(0.1)
     assert fired == ["strike"]
     # Dips below threshold but stays inside the band: no re-arm.
-    rng.pointdb.set("load", 78.0)
-    rng.pointdb.set("load", 86.0)
+    write_point(rng.pointdb, "load", 78.0)
+    write_point(rng.pointdb, "load", 86.0)
     rng.run_for(0.1)
     assert fired == ["strike"]
     # Clean band exit (< 75), then a new rising edge: second fire.
-    rng.pointdb.set("load", 70.0)
-    rng.pointdb.set("load", 86.0)
+    write_point(rng.pointdb, "load", 70.0)
+    write_point(rng.pointdb, "load", 86.0)
     rng.run_for(0.1)
     assert fired == ["strike", "strike"]
 
 
-def test_when_rising_already_true_at_arm_needs_band_exit(rng):
+def test_when_rising_already_true_at_arm_needs_band_exit(rng, write_point):
     fired = []
-    rng.pointdb.set("load", 90.0)  # condition true before arming
+    write_point(rng.pointdb, "load", 90.0)  # condition true before arming
     scenario = Scenario("armed-high")
     _counting_phase(scenario, "strike", when(point("load") > 80), fired)
     ScenarioRun(scenario, rng).start()
-    rng.pointdb.set("load", 95.0)
+    write_point(rng.pointdb, "load", 95.0)
     rng.run_for(0.1)
     assert fired == []  # no phantom edge at arm time
-    rng.pointdb.set("load", 50.0)
-    rng.pointdb.set("load", 85.0)
+    write_point(rng.pointdb, "load", 50.0)
+    write_point(rng.pointdb, "load", 85.0)
     rng.run_for(0.1)
     assert fired == ["strike"]
 
 
-def test_when_level_mode_fires_if_already_true(rng):
+def test_when_level_mode_fires_if_already_true(rng, write_point):
     fired = []
-    rng.pointdb.set("load", 90.0)
+    write_point(rng.pointdb, "load", 90.0)
     scenario = Scenario("level")
     _counting_phase(
         scenario, "strike", when(point("load") > 80, mode="level"), fired
@@ -239,24 +255,24 @@ def test_when_level_mode_fires_if_already_true(rng):
     assert fired == ["strike"]
 
 
-def test_oneshot_when_unsubscribes_after_firing(rng):
+def test_oneshot_when_unsubscribes_after_firing(rng, write_point):
     fired = []
     scenario = Scenario("cleanup")
     _counting_phase(scenario, "strike", when(point("load") > 80), fired)
     run = ScenarioRun(scenario, rng).start()
     handle = rng.pointdb.resolve("load")
-    rng.pointdb.set("load", 85.0)
+    write_point(rng.pointdb, "load", 85.0)
     rng.run_for(0.1)
     assert fired == ["strike"]
     # The subscription is gone: later changes cost zero notifications.
-    notifications = rng.pointdb.registry.notifications
-    rng.pointdb.set("load", 10.0)
-    rng.pointdb.set("load", 99.0)
+    notifications = rng.pointdb.notifications
+    write_point(rng.pointdb, "load", 10.0)
+    write_point(rng.pointdb, "load", 99.0)
     rng.run_for(0.1)
     assert fired == ["strike"]
-    assert rng.pointdb.registry.notifications == notifications
+    assert rng.pointdb.notifications == notifications
     run.finish()
-    assert handle.index not in rng.pointdb.registry._subscribers
+    assert handle.index not in rng.pointdb._subscribers
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +299,7 @@ def test_after_unknown_phase_is_an_error(rng):
         ScenarioRun(scenario, rng).start()
 
 
-def test_all_of_is_a_barrier(rng):
+def test_all_of_is_a_barrier(rng, write_point):
     fired = []
     scenario = Scenario("barrier")
     _counting_phase(
@@ -292,19 +308,19 @@ def test_all_of_is_a_barrier(rng):
     ScenarioRun(scenario, rng).start()
     rng.run_for(2.0)
     assert fired == []  # timer fired, condition did not
-    rng.pointdb.set("load", 90.0)
+    write_point(rng.pointdb, "load", 90.0)
     rng.run_for(0.1)
     assert fired == ["both"]
 
 
-def test_any_of_fires_on_first_and_disarms_rest(rng):
+def test_any_of_fires_on_first_and_disarms_rest(rng, write_point):
     fired = []
     scenario = Scenario("race")
     _counting_phase(
         scenario, "either", any_of(point("load") > 80, at(5.0)), fired
     )
     run = ScenarioRun(scenario, rng).start()
-    rng.pointdb.set("load", 90.0)
+    write_point(rng.pointdb, "load", 90.0)
     rng.run_for(0.1)
     assert fired == ["either"]
     rng.run_for(6.0)  # the at(5) alternative was disarmed
@@ -369,7 +385,7 @@ def test_scenario_reusable_across_ranges():
         assert run.records["either"].fired, f"attempt {attempt}"
 
 
-def test_finish_freezes_pending_outcomes(rng):
+def test_finish_freezes_pending_outcomes(rng, write_point):
     scenario = Scenario("frozen")
     scenario.phase("check", at(1.0)).outcome(
         "late", point("x") > 0, after_s=5.0
@@ -380,7 +396,7 @@ def test_finish_freezes_pending_outcomes(rng):
     assert run.records["check"].outcomes[0].status == "pending"
     # The same simulator keeps running (e.g. a second scenario): the
     # orphaned check must not retroactively change this run's verdict.
-    rng.pointdb.set("x", 1.0)
+    write_point(rng.pointdb, "x", 1.0)
     rng.run_for(10.0)
     assert run.records["check"].outcomes[0].status == "pending"
     assert not run.passed
@@ -586,7 +602,7 @@ def test_to_spec_rejects_python_only_constructs():
         callable_check.to_spec()
 
 
-def test_failed_start_disarms_already_armed_triggers(rng):
+def test_failed_start_disarms_already_armed_triggers(rng, write_point):
     """An aborted start() must not leave phantom subscriptions behind."""
     fired = []
     scenario = Scenario("aborted")
@@ -594,51 +610,9 @@ def test_failed_start_disarms_already_armed_triggers(rng):
     scenario.phase("broken", after("no-such-phase"))
     with pytest.raises(Exception, match="no-such-phase"):
         ScenarioRun(scenario, rng).start()
-    rng.pointdb.set("x", 5.0)
+    write_point(rng.pointdb, "x", 5.0)
     rng.run_for(0.5)
     assert fired == []  # the aborted run's phase did not execute
-
-
-# ---------------------------------------------------------------------------
-# Playbook compat shim
-# ---------------------------------------------------------------------------
-
-
-def test_playbook_converts_to_at_phases():
-    playbook = ExercisePlaybook(name="drill")
-    playbook.add(2.0, "second", lambda r: None, team="blue")
-    playbook.add(1.0, "first", lambda r: None)
-    scenario = playbook.to_scenario()
-    assert scenario.name == "drill"
-    assert [p.trigger.describe() for p in scenario.phases] == [
-        "at 1s", "at 2s",
-    ]
-    assert [p.team for p in scenario.phases] == ["red", "blue"]
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-def test_playbook_equal_timestamp_preserves_insertion_order(rng):
-    """Satellite contract: ties execute in add() order (stable sort +
-    declaration-order arming), red-before-blue iff red was added first."""
-    fired = []
-    playbook = ExercisePlaybook(name="tie-order")
-    playbook.add(1.0, "red strike", lambda r: fired.append("red"), team="red")
-    playbook.add(1.0, "blue react", lambda r: fired.append("blue"), team="blue")
-    playbook.add(0.5, "white setup", lambda r: fired.append("white"), team="white")
-    playbook.run(rng, duration_s=2.0)
-    assert fired == ["white", "red", "blue"]
-    assert [entry.team for entry in playbook.log] == ["white", "red", "blue"]
-
-    reversed_fired = []
-    reversed_playbook = ExercisePlaybook(name="tie-order-rev")
-    reversed_playbook.add(
-        1.0, "blue first", lambda r: reversed_fired.append("blue"), team="blue"
-    )
-    reversed_playbook.add(
-        1.0, "red second", lambda r: reversed_fired.append("red"), team="red"
-    )
-    reversed_playbook.run(FakeRange(), duration_s=2.0)
-    assert reversed_fired == ["blue", "red"]
 
 
 def test_duplicate_phase_name_rejected():

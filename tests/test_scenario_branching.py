@@ -1,6 +1,6 @@
 """Branch-on-outcome scenario graphs: routing, bounds, spec, accounting.
 
-Runs on the bare Simulator + PointDatabase harness (no compiled range) so
+Runs on the bare Simulator + PointRegistry harness (no compiled range) so
 edge semantics are pinned exactly: pass/fail/timeout routing, dormant
 branch targets costing zero kernel events and zero subscriptions, bounded
 revisits on cyclic graphs, and strict spec validation of the new fields.
@@ -9,7 +9,7 @@ revisits on cyclic graphs, and strict spec validation of the new fields.
 import pytest
 
 from repro.kernel import SECOND, Simulator
-from repro.pointdb import PointDatabase
+from repro.pointdb import PointRegistry
 from repro.scenario import (
     Scenario,
     ScenarioError,
@@ -28,7 +28,7 @@ class FakeRange:
 
     def __init__(self):
         self.simulator = Simulator()
-        self.pointdb = PointDatabase()
+        self.pointdb = PointRegistry()
 
     def run_for(self, seconds):
         self.simulator.run_for(int(seconds * SECOND))
@@ -39,7 +39,7 @@ class FakeRange:
         return run.finish()
 
     def measurement(self, key):
-        return self.pointdb.get_float(key)
+        return float(self.pointdb.get(key, 0.0))
 
 
 @pytest.fixture
@@ -71,9 +71,9 @@ def _probe_scenario(hits):
 # ---------------------------------------------------------------------------
 
 
-def test_on_pass_routes_to_pass_target_only(rng):
+def test_on_pass_routes_to_pass_target_only(rng, write_point):
     hits = []
-    rng.pointdb.set("flag", 1.0)
+    write_point(rng.pointdb, "flag", 1.0)
     run = rng.run_scenario(_probe_scenario(hits), 5.0)
     assert hits == ["probe", "celebrate"]
     assert run.records["celebrate"].fired
@@ -122,7 +122,7 @@ def test_branch_target_after_completed_phase_delays_from_routing(rng):
     assert run.records["followup"].triggered_at_s == pytest.approx(3.5)
 
 
-def test_timeout_routes_and_disarms_the_trigger(rng):
+def test_timeout_routes_and_disarms_the_trigger(rng, write_point):
     hits = []
     scenario = Scenario("timeout")
     watch = _mark(scenario, "watch", when(point("load") > 80), hits)
@@ -131,7 +131,7 @@ def test_timeout_routes_and_disarms_the_trigger(rng):
     run = ScenarioRun(scenario, rng).start()
     rng.run_for(5.0)
     # Condition turns true only after the window expired: no phantom fire.
-    rng.pointdb.set("load", 99.0)
+    write_point(rng.pointdb, "load", 99.0)
     rng.run_for(1.0)
     run.finish()
     assert hits == ["fallback"]
@@ -156,14 +156,14 @@ def test_trigger_due_at_exact_timeout_instant_wins_the_tie(rng):
     assert run.branch_path() == ["strike --on_pass--> win"]
 
 
-def test_fire_before_timeout_cancels_the_timeout_edge(rng):
+def test_fire_before_timeout_cancels_the_timeout_edge(rng, write_point):
     hits = []
     scenario = Scenario("no-timeout")
     watch = _mark(scenario, "watch", when(point("load") > 80), hits)
     watch.branch(on_timeout="fallback", timeout_s=3.0)
     _mark(scenario, "fallback", at(0.5), hits)
     run = ScenarioRun(scenario, rng).start()
-    rng.pointdb.set("load", 99.0)
+    write_point(rng.pointdb, "load", 99.0)
     rng.run_for(6.0)
     run.finish()
     assert hits == ["watch"]
@@ -195,7 +195,7 @@ def test_self_loop_retries_up_to_max_visits(rng):
     assert run.passed  # gate outcomes never fail the run
 
 
-def test_routing_to_an_armed_phase_is_suppressed(rng):
+def test_routing_to_an_armed_phase_is_suppressed(rng, write_point):
     hits = []
     scenario = Scenario("already-armed")
     a = _mark(scenario, "a", at(1.0), hits)
@@ -205,7 +205,7 @@ def test_routing_to_an_armed_phase_is_suppressed(rng):
     _mark(scenario, "target", when(point("go") > 0), hits)
     run = ScenarioRun(scenario, rng).start()
     rng.run_for(3.0)
-    rng.pointdb.set("go", 1.0)
+    write_point(rng.pointdb, "go", 1.0)
     rng.run_for(1.0)
     run.finish()
     assert hits == ["a", "b", "target"]  # fired once, not twice
@@ -220,7 +220,7 @@ def test_routing_to_an_armed_phase_is_suppressed(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_dormant_branch_target_costs_nothing(rng):
+def test_dormant_branch_target_costs_nothing(rng, write_point):
     scenario = Scenario("dormant-cost")
     probe = scenario.phase("probe", when(point("load") > 80))
     probe.branch(on_fail="fallback")
@@ -228,12 +228,12 @@ def test_dormant_branch_target_costs_nothing(rng):
     run = ScenarioRun(scenario, rng).start()
     # The dormant target's condition key was never even subscribed.
     other_handle = rng.pointdb.resolve("other")
-    assert other_handle.index not in rng.pointdb.registry._subscribers
+    assert other_handle.index not in rng.pointdb._subscribers
     rng.simulator.enable_accounting(True)
     rng.simulator.label_counts.clear()
     rng.run_for(5.0)
     for value in (10.0, 20.0, 10.0, 20.0):
-        rng.pointdb.set("other", value)  # dormant: must not notify anyone
+        write_point(rng.pointdb, "other", value)  # dormant: notifies nobody
     rng.run_for(5.0)
     accounting = rng.simulator.event_accounting()
     # An armed-but-idle branched scenario schedules zero kernel events.
@@ -241,7 +241,7 @@ def test_dormant_branch_target_costs_nothing(rng):
     run.finish()
 
 
-def test_branched_run_zero_idle_polling_with_accounting(rng):
+def test_branched_run_zero_idle_polling_with_accounting(rng, write_point):
     """The branched graph inherits when()'s zero-idle-cost guarantee."""
     hits = []
     scenario = Scenario("branched-idle")
@@ -255,7 +255,7 @@ def test_branched_run_zero_idle_polling_with_accounting(rng):
     rng.simulator.label_counts.clear()
     rng.run_for(10.0)  # idle: nothing crosses the threshold
     assert rng.simulator.event_accounting() == {}
-    rng.pointdb.set("load", 90.0)
+    write_point(rng.pointdb, "load", 90.0)
     rng.run_for(2.0)
     run.finish()
     assert hits == ["strike", "escalate"]
@@ -327,7 +327,7 @@ def test_from_spec_rejects_malformed_branch_fields(phase_extra):
         Scenario.from_spec(spec)
 
 
-def test_from_spec_builds_branched_graph_and_runs(rng):
+def test_from_spec_builds_branched_graph_and_runs(rng, write_point):
     spec = {
         "name": "spec-branch",
         "phases": [
@@ -349,13 +349,13 @@ def test_from_spec_builds_branched_graph_and_runs(rng):
     scenario = Scenario.from_spec(spec)
     assert scenario.branch_targets() == {"good", "bad"}
     run = rng.run_scenario(scenario, 3.0)
-    assert rng.pointdb.get_float("path") == 2.0  # flag unset -> on_fail
+    assert rng.pointdb.get("path") == 2.0  # flag unset -> on_fail
     assert run.branch_path() == ["probe --on_fail--> bad"]
 
     passing = FakeRange()
-    passing.pointdb.set("flag", 5.0)
+    write_point(passing.pointdb, "flag", 5.0)
     run2 = passing.run_scenario(Scenario.from_spec(spec), 3.0)
-    assert passing.pointdb.get_float("path") == 1.0  # on_pass this time
+    assert passing.pointdb.get("path") == 1.0  # on_pass this time
     assert run2.branch_path() == ["probe --on_pass--> good"]
 
 

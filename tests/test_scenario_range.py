@@ -77,20 +77,20 @@ def test_range_point_handle_and_cached_fast_paths(running_epic):
     handle = cr.point_handle(TBUS_VM)
     assert handle.index == cr.point_handle(TBUS_VM).index  # stable interning
     value = cr.measurement(TBUS_VM)
-    assert value == pytest.approx(cr.pointdb.get_float(TBUS_VM))
+    assert value == pytest.approx(cr.pointdb.get(TBUS_VM))
     assert TBUS_VM in cr._meas_handles  # cached after first use
     assert cr.breaker_state("CB_T1") is True
     assert "CB_T1" in cr._breaker_handles
     # Cached reads agree with the registry.
     assert cr.measurement(TBUS_VM) == pytest.approx(
-        cr.pointdb.registry.get_float(handle)
+        cr.pointdb.get_float(handle)
     )
     # Read paths are read-only: a misspelled key returns the default
     # without interning a new registry slot.
-    size_before = cr.pointdb.registry.size
+    size_before = cr.pointdb.size
     assert cr.measurement("meas/definitely/not/a/key") == 0.0
     assert cr.breaker_state("GHOST_BREAKER") is True
-    assert cr.pointdb.registry.size == size_before
+    assert cr.pointdb.size == size_before
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_fci_when_trigger_zero_idle_polling(scale5_range):
         # White cell steps a downstream load; TIE1 loading crosses the
         # threshold on the next solve and the delta subscription fires.
         cr.pointdb.write_command(
-            "cmd/Load_S2_1/scale", 3.0, writer="white-cell"
+            cr.pointdb.resolve("cmd/Load_S2_1/scale"), 3.0, writer="white-cell"
         )
         cr.run_for(3.0)
     finally:

@@ -34,7 +34,7 @@ def _record_history(cyber_range) -> list:
     def on_change(handle, value):
         history.append((simulator.now, handle.key, repr(value)))
 
-    cyber_range.pointdb.registry.subscribe_all(on_change)
+    cyber_range.pointdb.subscribe_all(on_change)
     return history
 
 

@@ -7,6 +7,7 @@ exercise exactly what the CI ``service-smoke`` job exercises, in-process.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -169,6 +170,28 @@ def test_websocket_stats_channel_streams_multicast_stats(client):
     stats = [e for e in events if e.get("channel") == "stats"]
     assert stats and "multicast_groups" in stats[0]
     assert "data_plane" in stats[0]
+
+
+def test_stream_timeout_is_one_overall_deadline(client, scaleout_model_dir):
+    """Keepalives must not extend ``timeout_s``: a stream that never sees
+    a counted event returns once its one overall deadline passes.  The
+    settled scale-out grid publishes no point changes at all."""
+    session = client.create_session(model_dir=scaleout_model_dir, speed=0.0)
+    assert _wait_until(lambda: client.session(session["id"])["time_s"] > 5.0)
+    result = {}
+
+    def stream():
+        started = time.monotonic()
+        result["events"] = client.stream_events(
+            session["id"], channels=["points"], max_events=1, timeout_s=3.0
+        )
+        result["elapsed_s"] = time.monotonic() - started
+
+    worker = threading.Thread(target=stream, daemon=True)
+    worker.start()
+    worker.join(timeout=20.0)
+    assert not worker.is_alive(), "keepalives kept the stream open"
+    assert result["elapsed_s"] < 6.0
 
 
 def test_errors_unknown_session_bad_action_bad_channel(client):

@@ -9,7 +9,7 @@ skip the solve entirely.
 import pytest
 
 from repro.epic import generate_scaleout_model
-from repro.pointdb import PointDatabase
+from repro.pointdb import PointRegistry
 from repro.powersim import (
     LoadProfile,
     Network,
@@ -218,25 +218,27 @@ def test_profile_step_triggers_fresh_solve():
 
 def test_ied_breaker_command_invalidates_through_coupling():
     net = _rich_net()
-    pointdb = PointDatabase()
+    pointdb = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net), pointdb)
+    ls1 = pointdb.resolve("cmd/LS1/close")
     coupling.tick(0.0)
     solves = coupling.runner.solve_count
     coupling.tick(0.1)  # steady tick: no solve
     assert coupling.runner.solve_count == solves
-    pointdb.write_command("cmd/LS1/close", False, writer="ied")
+    pointdb.write_command(ls1, False, writer="ied")
     result = coupling.tick(0.2)
     assert coupling.runner.solve_count == solves + 1
     assert not net.find_switch("LS1").closed
     assert_results_match(result, run_power_flow(net))
     # Re-asserting the same position is suppressed by the tracked write.
-    pointdb.write_command("cmd/LS1/close", False, writer="ied")
+    pointdb.write_command(ls1, False, writer="ied")
     coupling.tick(0.3)
     assert coupling.runner.solve_count == solves + 1
     # A switch added after the coupling was built is still commandable
     # (the name cache falls back to the live table).
     net.add_switch_bus_bus("CB_LATE", 0, 3, closed=False)
-    pointdb.write_command("cmd/CB_LATE/close", True, writer="ied")
+    late = pointdb.resolve("cmd/CB_LATE/close")
+    pointdb.write_command(late, True, writer="ied")
     coupling.tick(0.4)
     assert net.find_switch("CB_LATE").closed
     assert "cmd/CB_LATE/close" not in coupling.unknown_commands
@@ -263,16 +265,16 @@ def test_grid_share_reallocates_on_topology_change():
     net.add_ext_grid("g2", b, vm_pu=1.0)
     net.add_line("L", a, b, r_ohm=0.5, x_ohm=2.0)
     net.add_load("ld", b, p_mw=10.0)
-    pointdb = PointDatabase()
+    pointdb = PointRegistry()
     coupling = PowerCoupling(net, TimeSeriesRunner(net), pointdb)
     result = coupling.tick(0.0)
-    share = pointdb.get_float("meas/g1/p_mw")
+    share = pointdb.get("meas/g1/p_mw")
     assert share == pytest.approx(result.slack_p_mw / 2)
-    assert pointdb.get_float("meas/g2/p_mw") == pytest.approx(share)
+    assert pointdb.get("meas/g2/p_mw") == pytest.approx(share)
     net.ext_grids[1].in_service = False  # topology bump → cache refresh
     result = coupling.tick(0.1)
-    assert pointdb.get_float("meas/g1/p_mw") == pytest.approx(result.slack_p_mw)
-    assert pointdb.get_float("meas/g2/p_mw") == 0.0
+    assert pointdb.get("meas/g1/p_mw") == pytest.approx(result.slack_p_mw)
+    assert pointdb.get("meas/g2/p_mw") == 0.0
 
 
 # ---------------------------------------------------------------------------

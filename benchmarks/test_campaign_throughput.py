@@ -1,7 +1,7 @@
 """Campaign sharding throughput — scenario sweeps must scale out.
 
-The sharded campaign executor (:class:`repro.scenario.ShardedCampaign`)
-fans fresh-range scenario runs across a process pool; this bench measures
+The campaign executor (``Campaign.run`` with ``workers>1``) fans
+fresh-range scenario runs across a process pool; this bench measures
 what that buys in **scenarios per minute** over the paper's catalogs and
 pins the speedup so a serialisation regression (an accidental barrier, a
 pickling stall, a lost worker) trips the gate.
@@ -37,7 +37,7 @@ import time
 import pytest
 from conftest import print_report, record_scalability_result
 
-from repro.scenario import Campaign, ShardedCampaign, run_matrix
+from repro.scenario import Campaign, run_matrix
 from repro.sgml import SgmlModelSet
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
@@ -135,7 +135,7 @@ def test_campaign_matrix_throughput(epic_model, scaleout_dirs):
 def test_campaign_smoke_throughput(epic_model):
     """The 2-worker EPIC-catalog shape CI re-measures and gates every run."""
     campaign = Campaign.from_catalog(epic_model, seed=0)
-    report = ShardedCampaign(campaign, workers=SMOKE_WORKERS).run()
+    report = campaign.run(workers=SMOKE_WORKERS)
     point = _point(report.to_dict(), SMOKE_WORKERS)
     _assert_and_report(
         "campaign throughput — EPIC catalog, 2 workers "

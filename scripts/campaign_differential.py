@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Determinism differential between two campaign report JSONs.
 
-The sharding contract (``docs/scenarios.md``): a sharded sweep and a
-serial sweep of the same campaign produce **field-for-field identical**
-per-scenario results — only wall-clock fields may differ.  CI enforces it
-end to end by running ``sgml campaign`` twice (``--workers 2`` and
-``--workers 1``) and feeding both ``--report`` files through this script:
+The sharding contract (``docs/scenarios.md``): a pooled sweep
+(``workers>1``) and an in-process sweep (``workers=1``) of the same
+campaign produce **field-for-field identical** per-scenario results —
+only wall-clock fields may differ.  CI enforces it end to end by running
+``sgml campaign`` twice (``--workers 2`` and ``--workers 1``) and feeding
+both ``--report`` files through this script:
 
     PYTHONPATH=src python scripts/campaign_differential.py \\
         serial-report.json sharded-report.json
@@ -51,15 +52,16 @@ def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print(__doc__)
         return 2
-    with open(argv[1], encoding="utf-8") as handle:
-        serial = json.load(handle)
-    with open(argv[2], encoding="utf-8") as handle:
-        sharded = json.load(handle)
-    for label, report in (("serial", serial), ("sharded", sharded)):
+    reports = []
+    for label, path in (("serial", argv[1]), ("sharded", argv[2])):
+        with open(path, encoding="utf-8") as handle:
+            report = json.load(handle)
         if "scenarios" not in report:
-            print(f"{label} file {argv[1:][0]}: not a campaign report "
+            print(f"{label} file {path}: not a campaign report "
                   f"(no 'scenarios' key)")
             return 2
+        reports.append(report)
+    serial, sharded = reports
     problems = differential(serial["scenarios"], sharded["scenarios"])
     if problems:
         print("campaign determinism differential FAILED:")

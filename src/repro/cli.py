@@ -118,13 +118,13 @@ def main(argv: list[str] | None = None) -> int:
     p_campaign.add_argument(
         "--workers", type=int, default=0,
         help="process-pool width for fresh-range sweeps (0 = auto: one "
-             "per CPU; 1 = the exact serial path; forced to 1 with "
-             "--reuse-range and --dry-run)",
+             "per CPU, or 1 with --reuse-range; 1 = run in-process)",
     )
     p_campaign.add_argument(
         "--per-run-timeout", type=float, default=None, metavar="S",
-        help="per-scenario wall-clock budget in sharded sweeps; a run "
-             "over budget becomes a structured failed result",
+        help="per-scenario wall-clock budget at any worker count; a run "
+             "over budget becomes a structured failed result (not with "
+             "--reuse-range)",
     )
     p_campaign.add_argument(
         "--matrix", default="",
@@ -628,20 +628,9 @@ def _campaign_families(args: argparse.Namespace):
     ] or None
 
 
-def _campaign_workers(args: argparse.Namespace) -> int:
-    """Resolve ``--workers``: 0 = auto (one per CPU); sequential modes 1."""
-    import os
-
-    if args.reuse_range or getattr(args, "dry_run", False):
-        return 1
-    if args.workers and args.workers > 0:
-        return args.workers
-    return os.cpu_count() or 1
-
-
 def _run_campaign(model: SgmlModelSet, args: argparse.Namespace) -> int:
     """Build the sweep (catalog or spec dir), validate or run, report."""
-    from repro.scenario import Campaign, ShardedCampaign
+    from repro.scenario import Campaign
 
     kwargs = {"reuse_range": bool(args.reuse_range)}
     if args.specs:
@@ -656,17 +645,13 @@ def _run_campaign(model: SgmlModelSet, args: argparse.Namespace) -> int:
     if args.dry_run:
         report = campaign.dry_run()
     else:
-        workers = _campaign_workers(args)
+        workers = campaign.workers_for(args.workers, args.per_run_timeout)
         print(
             f"running campaign: {len(campaign.scenarios)} scenarios, "
             f"{'reused' if args.reuse_range else 'fresh'} range per run, "
             f"{workers} worker{'s' if workers != 1 else ''} ..."
         )
-        report = ShardedCampaign(
-            campaign,
-            workers=workers,
-            per_run_timeout_s=args.per_run_timeout,
-        ).run()
+        report = campaign.run(workers, args.per_run_timeout)
     print(report.summary())
     if args.report:
         report.write_json(args.report)
@@ -679,7 +664,7 @@ def _run_matrix(args: argparse.Namespace) -> int:
     import os
     import tempfile
 
-    from repro.scenario.sharding import run_matrix
+    from repro.scenario.campaign import resolve_workers, run_matrix
 
     if args.dry_run or args.reuse_range or args.specs:
         print(
@@ -712,7 +697,7 @@ def _run_matrix(args: argparse.Namespace) -> int:
             )
             return 1
         model_sets.append((token, SgmlModelSet.from_directory(directory)))
-    workers = _campaign_workers(args)
+    workers = resolve_workers(args.workers)
     print(
         f"running matrix sweep: {len(model_sets)} model sets, "
         f"{workers} worker{'s' if workers != 1 else ''} ..."

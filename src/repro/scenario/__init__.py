@@ -60,6 +60,8 @@ from repro.scenario.campaign import (
     CampaignError,
     CampaignReport,
     CampaignScenario,
+    MatrixReport,
+    run_matrix,
 )
 from repro.scenario.engine import (
     ActionRecord,
@@ -76,14 +78,7 @@ from repro.scenario.scenario import (
     find_back_edges,
     reachable_phases,
 )
-from repro.scenario.sharding import (
-    MatrixReport,
-    ShardedCampaign,
-    aggregate_results,
-    derive_seed,
-    run_matrix,
-    run_one,
-)
+from repro.scenario.sharding import derive_seed, run_one
 from repro.scenario.triggers import (
     AfterTrigger,
     AllOfTrigger,
@@ -133,14 +128,12 @@ __all__ = [
     "ScenarioError",
     "ScenarioRun",
     "ScenarioRunError",
-    "ShardedCampaign",
     "Trigger",
     "TriggerError",
     "WhenTrigger",
     "WritePointAction",
     "action_from_spec",
     "after",
-    "aggregate_results",
     "all_conditions",
     "all_of",
     "any_condition",

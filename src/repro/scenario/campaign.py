@@ -3,11 +3,17 @@
 A :class:`Campaign` binds an :class:`~repro.sgml.modelset.SgmlModelSet` to
 an ordered list of declarative scenario specs — generated by the
 :mod:`repro.scenario.catalog` families, loaded from a directory of
-``.json``/``.yaml`` spec files, or both — and executes them back to back:
+``.json``/``.yaml`` spec files, or both — and :meth:`Campaign.run` is the
+one executor that sweeps them.  Every run goes through the per-run unit of
+:mod:`repro.scenario.sharding`, placed one of three ways:
 
-* **fresh range per run** (default): every scenario gets its own compiled
+* **in-process** (``workers=1``): each scenario gets its own compiled
   :class:`~repro.range.CyberRange`, so runs are fully isolated — the mode
   for scoring and CI gates;
+* **process pool** (``workers>1``): the same fresh-range runs fanned
+  across ``fork`` workers, with a bounded in-flight window, crash
+  quarantine and per-run timeouts, producing results identical field for
+  field to ``workers=1`` (wall-clock fields aside);
 * **reused range** (``reuse_range=True``): one range is compiled and
   settled once and all scenarios run on it sequentially (virtual time keeps
   advancing), trading isolation for a single compile — the mode for quick
@@ -17,6 +23,8 @@ an ordered list of declarative scenario specs — generated by the
 The result is a :class:`CampaignReport`: per-scenario verdicts, per-phase
 timing, branch paths taken, per-run data-plane counter deltas and wall
 time, aggregated into one JSON document (``sgml campaign --report``).
+:func:`run_matrix` sweeps several model sets into one :class:`MatrixReport`
+(``sgml campaign --matrix epic,scaleout``).
 
 ``Campaign.validate()`` / ``dry_run()`` check every spec — parse, build,
 branch-graph validation — without compiling a range, which is what the
@@ -26,13 +34,18 @@ branch-graph validation — without compiling a range, which is what the
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import partial
+from typing import Optional
 
 from repro.scenario.catalog import CatalogEntry, generate_catalog
 from repro.scenario.scenario import Scenario
+from repro.scenario.sharding import derive_seed, run_on_range, run_one
 from repro.sgml.modelset import SgmlModelSet
 
 
@@ -80,11 +93,9 @@ class CampaignScenario:
 class CampaignReport:
     """Aggregate result of one campaign (or one dry-run validation).
 
-    ``workers``, ``per_run_wall_s`` and ``scenarios_per_minute`` were
-    added with the sharded executor (:mod:`repro.scenario.sharding`);
-    serial reports carry ``workers=1``.  ``per_run_wall_s`` is the summed
-    wall time of the individual runs — under sharding it exceeds
-    ``wall_s`` (elapsed), and their ratio is the measured speedup.
+    ``per_run_wall_s`` is the summed wall time of the individual runs —
+    on a process pool it exceeds ``wall_s`` (elapsed), and their ratio is
+    the measured speedup.
     """
 
     model: str
@@ -117,6 +128,37 @@ class CampaignReport:
             "scenarios_per_minute": self.scenarios_per_minute,
             "scenarios": self.results,
         }
+
+    @classmethod
+    def from_results(
+        cls,
+        results: list[dict],
+        *,
+        model: str,
+        reuse_range: bool,
+        workers: int,
+        wall_s: float,
+    ) -> "CampaignReport":
+        """Aggregate executed per-run results into one report.
+
+        Order-independent by construction: results are sorted by member
+        name, so any completion order — in-process, pooled, shuffled —
+        aggregates to the same report (pinned by the property test in
+        ``tests/test_campaign_sharding.py``).
+        """
+        ordered = sorted(results, key=lambda r: str(r.get("name", "")))
+        return cls(
+            model=model,
+            dry_run=False,
+            reuse_range=reuse_range,
+            results=ordered,
+            wall_s=wall_s,
+            workers=int(workers),
+            per_run_wall_s=sum(float(r.get("wall_s", 0.0)) for r in ordered),
+            scenarios_per_minute=(
+                60.0 * len(ordered) / wall_s if wall_s > 0 else 0.0
+            ),
+        )
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignReport":
@@ -210,15 +252,13 @@ class Campaign:
         #: Seed *root*.  Fresh-range runs derive a per-scenario seed from
         #: it (``sharding.derive_seed(seed, member.name)`` — a stable,
         #: process-independent hash), recorded as ``result["seed"]`` in
-        #: every result, dry or live, serial or sharded, so any run is
+        #: every result, dry or live, in-process or pooled, so any run is
         #: reproducible from the report alone.  Reused-range sweeps
         #: compile their single shared range directly with this value.
         self.seed = seed
 
     def member_seed(self, member: CampaignScenario) -> int:
         """The seed ``member``'s run compiles under (documented above)."""
-        from repro.scenario.sharding import derive_seed
-
         if self.reuse_range:
             return self.seed
         return derive_seed(self.seed, member.name)
@@ -318,27 +358,102 @@ class Campaign:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self) -> CampaignReport:
-        """Execute the sweep serially and aggregate the reports.
+    def run(
+        self,
+        workers: Optional[int] = 1,
+        per_run_timeout_s: Optional[float] = None,
+    ) -> CampaignReport:
+        """Execute the sweep and aggregate one report.
 
-        Fresh-range mode delegates each run to
-        :func:`repro.scenario.sharding.run_one` — the same pure per-run
-        unit the process-pool executor ships to workers — so
-        ``ShardedCampaign(campaign, workers=N)`` is provably equivalent
-        to this serial path (the determinism-differential suite pins it).
-        Reused-range mode runs each spec through the same
-        :func:`~repro.scenario.sharding.run_on_range` step on one shared
-        range.
+        Every run goes through one per-run unit, placed one of three ways:
+
+        * ``workers=1`` — :func:`~repro.scenario.sharding.run_one` in this
+          process, with the per-run timer armed exactly as in a worker;
+        * ``workers>1`` — the same call fanned across a process pool
+          (:meth:`_run_pool`); the model set needs a ``source_dir`` to
+          ship to the workers;
+        * ``reuse_range`` — :func:`~repro.scenario.sharding.run_on_range`
+          on one shared range, sequentially and without a per-run timeout.
+
+        ``workers`` is checked and resolved by :meth:`workers_for`.
+        ``per_run_timeout_s`` caps each run's wall clock; a run over
+        budget becomes a structured ``timed_out`` failed result.  Results
+        come back sorted by member name whatever the placement, and every
+        placement of a fresh-range sweep yields the same results field for
+        field, wall-clock fields aside (the determinism-differential suite
+        pins it).
         """
-        from repro.scenario.sharding import run_on_range, run_one
+        workers = self.workers_for(workers, per_run_timeout_s)
+        # sgml: lint-ok[det-wallclock] wall accounting
+        start = time.perf_counter()
+        if self.reuse_range:
+            results = self._run_shared()
+        elif workers == 1:
+            results = [
+                self._job(member, self.model, per_run_timeout_s)()
+                for member in self.scenarios
+            ]
+        else:
+            results = self._run_pool(workers, per_run_timeout_s)
+        return CampaignReport.from_results(
+            results,
+            model=self._model_name(),
+            reuse_range=self.reuse_range,
+            workers=workers,
+            # sgml: lint-ok[det-wallclock] wall accounting
+            wall_s=time.perf_counter() - start,
+        )
+
+    def workers_for(
+        self,
+        workers: Optional[int] = 1,
+        per_run_timeout_s: Optional[float] = None,
+    ) -> int:
+        """The worker count :meth:`run` takes for these arguments.
+
+        ``0``/``None`` means auto (:func:`resolve_workers`).  Raises
+        :class:`CampaignError` for a placement this campaign cannot take.
+        """
+        workers = resolve_workers(workers, self.reuse_range)
+        if self.reuse_range and workers > 1:
+            raise CampaignError(
+                "reuse_range campaigns are sequential by design; "
+                "run with workers=1 (or drop reuse_range to shard)"
+            )
+        if self.reuse_range and per_run_timeout_s is not None:
+            raise CampaignError(
+                "reuse_range campaigns take no per-run timeout: a run cut "
+                "short would leave the shared range mid-event for the next "
+                "scenario"
+            )
+        if workers > 1 and not self.model.source_dir:
+            raise CampaignError(
+                "sharded campaigns need a model directory to ship to "
+                "workers (SgmlModelSet.source_dir is empty); "
+                "use workers=1 for in-memory model sets"
+            )
+        return workers
+
+    def _job(self, member: CampaignScenario, model_ref, timeout_s) -> partial:
+        """``member``'s :func:`run_one` call, ready to run in this process
+        or to pickle into a pool worker."""
+        return partial(
+            run_one,
+            model_ref,
+            member.spec,
+            self.member_seed(member),
+            self.settle_s,
+            self.default_duration_s,
+            name=member.name,
+            source=member.source,
+            timeout_s=timeout_s,
+        )
+
+    def _run_shared(self) -> list[dict]:
+        """Every member on one range, compiled and settled on first use."""
         from repro.sgml.processor import SgmlProcessor
 
-        report = CampaignReport(
-            model=self._model_name(),
-            dry_run=False,
-            reuse_range=self.reuse_range,
-        )
-        shared = None  # the reused range, compiled on first use
+        shared = None
 
         def shared_range():
             nonlocal shared
@@ -349,43 +464,239 @@ class Campaign:
                     shared.run_for(self.settle_s)
             return shared
 
-        # sgml: lint-ok[det-wallclock] wall accounting
-        campaign_start = time.perf_counter()
-        for member in self.scenarios:
-            if self.reuse_range:
-                result = run_on_range(
-                    member.spec,
-                    shared_range,
-                    0.0,
-                    self.default_duration_s,
-                    name=member.name,
-                    source=member.source,
-                    seed=self.member_seed(member),
-                )
-            else:
-                result = run_one(
-                    self.model,
-                    member.spec,
-                    self.member_seed(member),
-                    self.settle_s,
-                    self.default_duration_s,
-                    name=member.name,
-                    source=member.source,
-                )
-            report.results.append(result)
-        # sgml: lint-ok[det-wallclock] wall accounting
-        report.wall_s = time.perf_counter() - campaign_start
-        report.per_run_wall_s = sum(
-            float(r.get("wall_s", 0.0)) for r in report.results
-        )
-        if report.wall_s > 0:
-            report.scenarios_per_minute = (
-                60.0 * len(report.results) / report.wall_s
+        return [
+            run_on_range(
+                member.spec,
+                shared_range,
+                0.0,
+                self.default_duration_s,
+                name=member.name,
+                source=member.source,
+                seed=self.member_seed(member),
             )
-        return report
+            for member in self.scenarios
+        ]
+
+    def _run_pool(
+        self, workers: int, timeout_s: Optional[float]
+    ) -> list[dict]:
+        """Bounded-submission pool loop with crash quarantine.
+
+        At most ``2 × workers`` runs are in flight, so a huge catalog
+        cannot flood the pool's call queue with pickled specs.  A worker
+        dying (SIGKILL, hard crash) breaks the whole
+        ``ProcessPoolExecutor``: every outstanding future raises
+        ``BrokenProcessPool`` and the guilty member is indistinguishable
+        from queued innocents.  Every member outstanding at the break is
+        re-run *quarantined* — alone, in its own one-worker pool — so the
+        crash attributes unambiguously: the poison member becomes a
+        structured ``worker_crash`` result, innocents complete normally
+        (runs are pure and seed-deterministic, so a re-run is exact).
+        Total results always equal total members.
+        """
+        model_ref = self.model.source_dir
+        results: list[dict] = []
+        pending = list(self.scenarios)
+        inflight: dict = {}
+        executor = _fork_pool(workers)
+        try:
+            while pending or inflight:
+                while pending and len(inflight) < 2 * workers:
+                    member = pending.pop(0)
+                    job = self._job(member, model_ref, timeout_s)
+                    inflight[executor.submit(job)] = member
+                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+                suspects: list[CampaignScenario] = []
+                for future in done:
+                    member = inflight.pop(future)
+                    result = self._pool_result(member, future)
+                    if result is None:
+                        suspects.append(member)
+                    else:
+                        results.append(result)
+                if suspects:
+                    # Everything still in flight died with the pool.
+                    suspects.extend(inflight.values())
+                    inflight.clear()
+                    executor.shutdown(wait=True, cancel_futures=True)
+                    for member in suspects:
+                        job = self._job(member, model_ref, timeout_s)
+                        results.append(self._run_quarantined(member, job))
+                    executor = _fork_pool(workers)
+        finally:
+            # Wait for worker teardown: an abandoned pool races
+            # interpreter exit (atexit wakeup on a closed pipe).
+            executor.shutdown(wait=True, cancel_futures=True)
+        return results
+
+    def _run_quarantined(self, member: CampaignScenario, job: partial) -> dict:
+        """Re-run one pool-break suspect alone in a one-worker pool."""
+        with _fork_pool(1) as executor:
+            result = self._pool_result(member, executor.submit(job))
+        return result or self._failed(
+            member, "worker process died mid-run", worker_crash=True
+        )
+
+    def _pool_result(self, member: CampaignScenario, future) -> Optional[dict]:
+        """``future``'s result, or ``None`` if the pool broke under it."""
+        exc = future.exception()
+        if exc is None:
+            return future.result()
+        if isinstance(exc, (BrokenProcessPool, OSError)):
+            return None
+        # run_one never raises; only a pickling failure lands here
+        return self._failed(member, str(exc))  # pragma: no cover
+
+    def _failed(self, member: CampaignScenario, error: str, **flags) -> dict:
+        """The structured result of a run that returned none of its own."""
+        return {
+            "name": member.name,
+            "source": member.source,
+            "seed": self.member_seed(member),
+            "passed": False,
+            "error": error,
+            **flags,
+            "wall_s": 0.0,
+        }
 
     # ------------------------------------------------------------------
     def _model_name(self) -> str:
         return self.model.source_dir or (
             self.model.ssds[0].header.id if self.model.ssds else "model"
         )
+
+
+def resolve_workers(workers: Optional[int], reuse_range: bool = False) -> int:
+    """The worker count a sweep runs on.  ``0``/``None`` means auto: one
+    per CPU, or 1 for a reuse-range sweep, which is sequential by design."""
+    if workers:
+        return max(1, int(workers))
+    return 1 if reuse_range else os.cpu_count() or 1
+
+
+def _fork_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool, on ``fork`` where the platform has it: forked
+    workers inherit the parsed-model cache and imported modules, spawned
+    ones would re-import repro per pool."""
+    context = None
+    if "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+
+# ---------------------------------------------------------------------------
+# Cross-model matrix
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class MatrixReport:
+    """Aggregate of one campaign sweep per model set (the matrix layer)."""
+
+    workers: int
+    reports: list[dict] = field(default_factory=list)  # {"model_set", "report"}
+    wall_s: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.reports) and all(
+            entry["report"]["passed"] for entry in self.reports
+        )
+
+    @property
+    def scenario_count(self) -> int:
+        return sum(e["report"]["scenario_count"] for e in self.reports)
+
+    @property
+    def scenarios_per_minute(self) -> float:
+        if self.wall_s <= 0:
+            return 0.0
+        return 60.0 * self.scenario_count / self.wall_s
+
+    def to_dict(self) -> dict:
+        return {
+            "matrix": True,
+            "workers": self.workers,
+            "passed": self.passed,
+            "model_sets": [e["model_set"] for e in self.reports],
+            "scenario_count": self.scenario_count,
+            "wall_s": self.wall_s,
+            "scenarios_per_minute": self.scenarios_per_minute,
+            "reports": self.reports,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "MatrixReport":
+        return cls(
+            workers=int(payload["workers"]),
+            reports=[dict(entry) for entry in payload["reports"]],
+            wall_s=float(payload["wall_s"]),
+        )
+
+    def write_json(self, path: str) -> str:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(self.to_dict(), handle, indent=2)
+        return path
+
+    def summary(self) -> str:
+        lines = [
+            f"=== matrix report: {len(self.reports)} model sets, "
+            f"{self.workers} workers ==="
+        ]
+        for entry in self.reports:
+            report = entry["report"]
+            verdict = "PASS" if report["passed"] else "FAIL"
+            lines.append(
+                f"  [{verdict:>4}] {entry['model_set']}: "
+                f"{report['passed_count']}/{report['scenario_count']} passed "
+                f"({report['wall_s']:.2f}s wall)"
+            )
+        verdict = "PASS" if self.passed else "FAIL"
+        lines.append(
+            f"=== matrix verdict: {verdict} ({self.scenario_count} scenarios, "
+            f"{self.scenarios_per_minute:.1f}/min) ==="
+        )
+        return "\n".join(lines)
+
+
+def run_matrix(
+    model_sets: list[tuple[str, SgmlModelSet]],
+    *,
+    families: Optional[list[str]] = None,
+    max_sites: int = 1,
+    workers: Optional[int] = None,
+    settle_s: float = 2.0,
+    default_duration_s: float = 10.0,
+    seed: int = 0,
+    per_run_timeout_s: Optional[float] = None,
+) -> MatrixReport:
+    """One sweep over several model sets × catalog families.
+
+    Each ``(label, model)`` pair generates its own catalog (``families``
+    subset applies to all) and runs it through :meth:`Campaign.run` at
+    the same worker count; the per-model reports are grouped into one
+    :class:`MatrixReport`.  Per-scenario seeds derive from each
+    campaign's members exactly as in a single sweep, so a matrix run of
+    one model set equals that model set's standalone sweep.
+    """
+    if not model_sets:
+        raise CampaignError("matrix sweep has no model sets")
+    matrix = MatrixReport(workers=resolve_workers(workers))
+    # sgml: lint-ok[det-wallclock] wall accounting
+    start = time.perf_counter()
+    for label, model in model_sets:
+        campaign = Campaign.from_catalog(
+            model,
+            families=families,
+            max_sites=max_sites,
+            settle_s=settle_s,
+            default_duration_s=default_duration_s,
+            seed=seed,
+        )
+        report = campaign.run(matrix.workers, per_run_timeout_s)
+        matrix.reports.append(
+            {"model_set": label, "report": report.to_dict()}
+        )
+    # sgml: lint-ok[det-wallclock] wall accounting
+    matrix.wall_s = time.perf_counter() - start
+    return matrix

@@ -792,6 +792,30 @@ class TestForkGuards:
         )
         assert module.require_fork() is None
 
+    def test_differential_names_the_file_that_is_not_a_report(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import importlib.util
+        import multiprocessing
+
+        spec = importlib.util.spec_from_file_location(
+            "campaign_differential_paths",
+            str(REPO / "scripts" / "campaign_differential.py"),
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["fork"]
+        )
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"scenarios": []}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"matrix": True}))
+        assert module.main(["prog", str(good), str(bad)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"sharded file {bad}:")
+        assert str(good) not in out
+
 
 # ---------------------------------------------------------------------------
 # Scenario graph introspection helpers

@@ -1,15 +1,15 @@
 """Determinism-differential suite for sharded campaign sweeps.
 
-The correctness contract of :mod:`repro.scenario.sharding`: a process-pool
-sweep (``workers=N``) of a campaign is *provably equivalent* to the serial
-path (``workers=1``) — identical per-run verdicts, branch paths, seeds and
-data-plane deltas field for field (wall-clock fields excluded), with
-aggregation invariant to completion order.  Plus the pool fault paths
-(raising specs, killed workers, per-run timeouts each become structured
-failed results without sinking the sweep), the unified seed-provenance
-contract, and :class:`CampaignReport` / :class:`MatrixReport` JSON
-round-trips including the CLI ``--report`` path (golden-file tolerant of
-field additions).
+The correctness contract of :meth:`Campaign.run`: a process-pool sweep
+(``workers=N``) of a campaign is *provably equivalent* to the in-process
+placement (``workers=1``) — identical per-run verdicts, branch paths, seeds
+and data-plane deltas field for field (wall-clock fields excluded), with
+aggregation invariant to completion order.  Plus the fault paths (raising
+specs, killed workers, per-run timeouts each become structured failed
+results without sinking the sweep), the unified seed-provenance contract,
+and :class:`CampaignReport` / :class:`MatrixReport` JSON round-trips
+including the CLI ``--report`` path (golden-file tolerant of field
+additions).
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from repro.scenario import (
     CampaignReport,
     CampaignScenario,
     MatrixReport,
-    ShardedCampaign,
-    aggregate_results,
     derive_seed,
     run_matrix,
     run_one,
@@ -117,8 +115,8 @@ def differential_reports(epic_model_dir):
     from repro.sgml import SgmlModelSet
 
     model = SgmlModelSet.from_directory(epic_model_dir)
-    serial = ShardedCampaign(Campaign.from_catalog(model), workers=1).run()
-    sharded = ShardedCampaign(Campaign.from_catalog(model), workers=4).run()
+    serial = Campaign.from_catalog(model).run(workers=1)
+    sharded = Campaign.from_catalog(model).run(workers=4)
     return serial, sharded
 
 
@@ -168,9 +166,10 @@ def test_aggregation_is_invariant_to_completion_order(differential_reports):
     for _ in range(8):
         shuffled = list(sharded.results)
         rng.shuffle(shuffled)
-        report = aggregate_results(
+        report = CampaignReport.from_results(
             shuffled,
             model=sharded.model,
+            reuse_range=sharded.reuse_range,
             workers=sharded.workers,
             wall_s=sharded.wall_s,
         )
@@ -188,7 +187,7 @@ def test_raising_spec_yields_structured_error(epic_model):
     campaign = Campaign(
         epic_model, _members(_noop_spec("ok-a"), bad, _noop_spec("ok-b"))
     )
-    report = ShardedCampaign(campaign, workers=2).run()
+    report = campaign.run(workers=2)
     assert len(report.results) == 3
     by_name = {result["name"]: result for result in report.results}
     assert by_name["bad"]["passed"] is False
@@ -219,7 +218,7 @@ def test_failing_action_yields_structured_failed_result(epic_model):
         ],
     }
     campaign = Campaign(epic_model, _members(spec, _noop_spec("ok")))
-    report = ShardedCampaign(campaign, workers=2).run()
+    report = campaign.run(workers=2)
     assert len(report.results) == 2
     by_name = {result["name"]: result for result in report.results}
     doomed = by_name["doomed-operate"]
@@ -237,7 +236,7 @@ def test_killed_worker_becomes_worker_crash_result(epic_model, monkeypatch):
     campaign = Campaign(
         epic_model, _members(_noop_spec("ok-a"), poison, _noop_spec("ok-b"))
     )
-    report = ShardedCampaign(campaign, workers=2).run()
+    report = campaign.run(workers=2)
     assert len(report.results) == len(campaign.scenarios)
     by_name = {result["name"]: result for result in report.results}
     assert by_name["poison"]["worker_crash"] is True
@@ -247,14 +246,16 @@ def test_killed_worker_becomes_worker_crash_result(epic_model, monkeypatch):
     assert not report.passed
 
 
-def test_per_run_timeout_yields_structured_result(epic_model, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_per_run_timeout_yields_structured_result(
+    epic_model, monkeypatch, workers
+):
+    """The timer is armed in-process (``workers=1``) as in a pool worker."""
     monkeypatch.setenv(TEST_HOOKS_ENV, "1")
     stuck = _noop_spec("stuck")
     stuck[TEST_HOOK_KEY] = {"sleep_s": 30.0}
     campaign = Campaign(epic_model, _members(stuck, _noop_spec("ok")))
-    report = ShardedCampaign(
-        campaign, workers=2, per_run_timeout_s=1.0
-    ).run()
+    report = campaign.run(workers=workers, per_run_timeout_s=1.0)
     assert len(report.results) == 2
     by_name = {result["name"]: result for result in report.results}
     assert by_name["stuck"]["timed_out"] is True
@@ -277,13 +278,15 @@ def test_sharded_rejects_sequential_modes(epic_model):
         epic_model, families=["breaker-storm-drill"], reuse_range=True
     )
     with pytest.raises(CampaignError, match="sequential"):
-        ShardedCampaign(campaign, workers=2).run()
+        campaign.run(workers=2)
+    with pytest.raises(CampaignError, match="per-run timeout"):
+        campaign.run(per_run_timeout_s=5.0)
     in_memory = Campaign(
         epic_model, _members(_noop_spec("x"))
     )
     in_memory.model.source_dir = ""
     with pytest.raises(CampaignError, match="model directory"):
-        ShardedCampaign(in_memory, workers=2).run()
+        in_memory.run(workers=2)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +325,9 @@ def test_matrix_report_round_trip(epic_model_dir, tmp_path):
     assert "matrix verdict" in matrix.summary()
     # A one-model matrix equals that model's standalone sharded sweep
     # (wall-clock aside) — the matrix layer adds grouping, not behavior.
-    standalone = ShardedCampaign(
-        Campaign.from_catalog(model, families=["breaker-storm-drill"]),
-        workers=2,
-    ).run()
+    standalone = Campaign.from_catalog(
+        model, families=["breaker-storm-drill"]
+    ).run(workers=2)
     assert differential(
         matrix.reports[0]["report"]["scenarios"], standalone.results
     ) == []
@@ -387,3 +389,18 @@ def test_cli_matrix_rejects_incompatible_flags(epic_model_dir, capsys):
     assert main(["campaign", "--matrix", epic_model_dir, "--dry-run"]) == 1
     assert "does not combine" in capsys.readouterr().err
     assert main(["campaign", "--matrix", "no-such-model-set"]) == 1
+
+
+def test_cli_reuse_range_rejects_per_run_timeout(epic_model_dir, capsys):
+    code = main(
+        [
+            "campaign", epic_model_dir,
+            "--families", "breaker-storm-drill",
+            "--reuse-range", "--per-run-timeout", "5",
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "per-run timeout" in captured.err

@@ -83,9 +83,6 @@ _BENCH_ROUNDS = 3
 
 def _measure(cyber_range, benchmark):
     """Run the benchmark and derive both cost metrics + solver stats."""
-    coupling = cyber_range.coupling
-    wall_before = coupling.tick_wall_s
-    ticks_before = coupling.tick_count
     before = cyber_range.data_plane_stats()
     events_before = cyber_range.simulator.processed
 
@@ -93,21 +90,17 @@ def _measure(cyber_range, benchmark):
         cyber_range.run_for(1.0)
 
     benchmark.pedantic(one_simulated_second, rounds=_BENCH_ROUNDS, iterations=1)
-    ticks = coupling.tick_count - ticks_before
-    tick_ms = (coupling.tick_wall_s - wall_before) * 1000.0 / max(1, ticks)
     stats = cyber_range.data_plane_stats()
+    window = stats.diff(before)
+    tick_ms = window["tick_wall_s"] * 1000.0 / max(1, window["ticks"])
     solves = stats["solves"]
     wall = benchmark.stats.stats.mean
     # Netem attribution, per simulated second: the forwarding walk (path
     # resolution + inline hop semantics + event scheduling) is the netem
     # *transport* cost; terminal delivery includes the virtual hosts'
     # protocol stacks and is reported separately (see benchmarks/README.md).
-    forward_wall = (
-        stats["netem_forward_wall_s"] - before["netem_forward_wall_s"]
-    ) / _BENCH_ROUNDS
-    deliver_wall = (
-        stats["netem_deliver_wall_s"] - before["netem_deliver_wall_s"]
-    ) / _BENCH_ROUNDS
+    forward_wall = window["netem_forward_wall_s"] / _BENCH_ROUNDS
+    deliver_wall = window["netem_deliver_wall_s"] / _BENCH_ROUNDS
     return {
         "ieds": len(cyber_range.ieds),
         "wall_per_sim_s": wall,
@@ -124,32 +117,17 @@ def _measure(cyber_range, benchmark):
         "kernel_events_per_sim_s": (
             (cyber_range.simulator.processed - events_before) / _BENCH_ROUNDS
         ),
-        "netem_sends": stats["netem_sends"] - before["netem_sends"],
-        "netem_delivery_events": (
-            stats["netem_delivery_events"] - before["netem_delivery_events"]
-        ),
-        "netem_deliveries": (
-            stats["netem_deliveries"] - before["netem_deliveries"]
-        ),
-        "netem_batched_frames": (
-            stats["netem_batched_frames"] - before["netem_batched_frames"]
-        ),
-        "netem_mcast_pruned_sends": (
-            stats["netem_mcast_pruned_sends"]
-            - before["netem_mcast_pruned_sends"]
-        ),
-        "netem_mcast_flooded_sends": (
-            stats["netem_mcast_flooded_sends"]
-            - before["netem_mcast_flooded_sends"]
-        ),
+        # Netem counters over the measured window.
+        "netem_sends": window["netem_sends"],
+        "netem_delivery_events": window["netem_delivery_events"],
+        "netem_deliveries": window["netem_deliveries"],
+        "netem_batched_frames": window["netem_batched_frames"],
+        "netem_mcast_pruned_sends": window["netem_mcast_pruned_sends"],
+        "netem_mcast_flooded_sends": window["netem_mcast_flooded_sends"],
+        "netem_cache_hits": window["netem_cache_hits"],
+        "netem_path_compiles": window["netem_path_compiles"],
         "netem_mcast_prune_ratio": stats["netem_mcast_prune_ratio"],
         "netem_mcast_groups": stats["netem_mcast_groups"],
-        "netem_cache_hits": (
-            stats["netem_cache_hits"] - before["netem_cache_hits"]
-        ),
-        "netem_path_compiles": (
-            stats["netem_path_compiles"] - before["netem_path_compiles"]
-        ),
         "netem_forward_wall_s": forward_wall,
         "netem_deliver_wall_s": deliver_wall,
         "netem_share_of_wall": forward_wall / wall if wall else 0.0,

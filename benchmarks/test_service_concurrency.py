@@ -88,7 +88,7 @@ def _run_fleet(model_dir: str, session_count: int) -> dict:
 
     total_ticks = sum(s.cyber_range.coupling.tick_count for s in sessions)
     total_tick_wall = sum(
-        s.cyber_range.coupling.tick_wall_s for s in sessions
+        s.cyber_range.coupling.tick_clock.seconds for s in sessions
     )
     dropped = sum(sub.dropped for sub in subscriptions)
     lag_resets = sum(s.lag_resets for s in sessions)

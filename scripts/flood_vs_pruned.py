@@ -35,10 +35,10 @@ def measure(model_dir: str, multicast_prune: bool, seconds: float) -> dict:
     before = cyber_range.data_plane_stats()
     mcast_before = sum(cyber_range.multicast_group_stats().values())
     cyber_range.run_for(seconds)
-    after = cyber_range.data_plane_stats()
+    window = cyber_range.data_plane_stats().diff(before)
     return {
-        "sends": after["netem_sends"] - before["netem_sends"],
-        "deliveries": after["netem_deliveries"] - before["netem_deliveries"],
+        "sends": window["netem_sends"],
+        "deliveries": window["netem_deliveries"],
         # Multicast frames×receivers on registered groups — the portion of
         # netem_deliveries that pruning attacks (the EPIC range's unicast
         # MMS/SCADA polling is identical in both modes and would bury the
@@ -46,11 +46,9 @@ def measure(model_dir: str, multicast_prune: bool, seconds: float) -> dict:
         "mcast_deliveries": (
             sum(cyber_range.multicast_group_stats().values()) - mcast_before
         ),
-        "pruned_sends": after["netem_mcast_pruned_sends"]
-        - before["netem_mcast_pruned_sends"],
-        "flooded_sends": after["netem_mcast_flooded_sends"]
-        - before["netem_mcast_flooded_sends"],
-        "groups": int(after["netem_mcast_groups"]),
+        "pruned_sends": window["netem_mcast_pruned_sends"],
+        "flooded_sends": window["netem_mcast_flooded_sends"],
+        "groups": int(window["netem_mcast_groups"]),
     }
 
 

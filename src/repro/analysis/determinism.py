@@ -16,9 +16,9 @@ Rules (all severity ``error`` unless noted):
 ``det-wallclock``
     A wall-clock read — ``time.time()`` / ``perf_counter()`` /
     ``monotonic()`` (+ ``_ns`` variants), ``datetime.now()`` /
-    ``utcnow()`` / ``today()`` — outside the pacing allowlist.  Wall
-    accounting (``wall_s`` report fields) is legitimate; annotate it with
-    ``# sgml: lint-ok[det-wallclock]`` so the review is explicit.
+    ``utcnow()`` / ``today()`` — outside the allowlists.  Wall accounting
+    goes through :class:`repro.telemetry.Stopwatch`; any other read that
+    must stay carries ``# sgml: lint-ok[det-wallclock]``.
 ``det-unseeded-random``
     The process-global RNG (``random.random()``, ``random.choice()``, …)
     or an argument-less ``random.Random()``.  Seeded constructions
@@ -45,8 +45,9 @@ Rules (all severity ``error`` unless noted):
 The **pacing allowlist**: modules under ``repro/service/`` (session
 pacing, retry jitter, supervision backoff — the wall-clock-facing layer
 by design) are exempt from the wallclock/random rules; the journal-flush
-rule still applies to the recovery module.  Benchmarks and scripts live
-outside ``src/repro`` and are never walked.
+rule still applies to the recovery module.  The exact module path
+``repro/telemetry.py`` is exempt from ``det-wallclock`` only.  Benchmarks
+and scripts live outside ``src/repro`` and are never walked.
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ from repro.analysis.findings import Finding, make_finding
 
 #: Module path prefixes forming the pacing/bench allowlist (see module doc).
 PACING_PREFIXES = ("repro/service/",)
+
+#: The one module (an exact path) that reads the wall clock for accounting.
+WALL_ACCOUNTING_MODULE = "repro/telemetry.py"
 
 #: Functions on the ``time`` module that read a wall clock.
 _TIME_FUNCS = frozenset({
@@ -173,7 +177,8 @@ def check_determinism(
         ))
 
     if not allowlisted:
-        _check_wallclock(emit, tree, imports)
+        if module != WALL_ACCOUNTING_MODULE:
+            _check_wallclock(emit, tree, imports)
         _check_random(emit, tree, imports)
         _check_builtin_hash(emit, tree)
         _check_set_iteration(emit, tree)
@@ -224,8 +229,9 @@ def _check_wallclock(emit, tree: ast.AST, imports: _ImportMap) -> None:
                 node,
                 hint=(
                     "simulation code must derive time from Simulator.now; "
-                    "wall accounting belongs behind an inline "
-                    "'sgml: lint-ok[det-wallclock]' annotation"
+                    "wall accounting goes through repro.telemetry.Stopwatch "
+                    "(anything else needs a reviewed inline "
+                    "'sgml: lint-ok[det-wallclock]' annotation)"
                 ),
             )
 

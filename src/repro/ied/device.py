@@ -20,9 +20,9 @@ scan only when an input actually changed — a tick, a peer GOOSE message
 with new breaker state, a fresh R-SV sample value, or an MMS setting
 write.  While a protection function is timing towards its operate delay
 the device re-arms itself at ``scan_interval_ms`` so trips still fire on
-schedule; a fully idle substation costs ~zero kernel events.  Setting
-``change_driven = False`` before :meth:`VirtualIed.start` restores the
-legacy fixed-period scan.
+schedule; a fully idle substation costs ~zero kernel events.  There is no
+fixed-period scan: the first scan runs one ``scan_interval_ms`` after
+:meth:`VirtualIed.start`, every later one is a wake or a re-arm.
 """
 
 from __future__ import annotations
@@ -75,11 +75,8 @@ class VirtualIed:
         #: Breakers this IED commands: db breaker name → command handle.
         self._breakers: dict[str, PointHandle] = {}
         self._protection_by_ln: dict[str, Any] = {}
-        self._scan_task = None
         self._scan_event = None
         self._running = False
-        #: Scan only when inputs changed (plus delay-timing re-arms).
-        self.change_driven = True
         self.scan_count = 0
         self.wake_count = 0
         self._inputs_dirty = True
@@ -277,21 +274,12 @@ class VirtualIed:
         self.mms_server.start()
         self._running = True
         self._inputs_dirty = True
-        interval = int(self.config.scan_interval_ms * MS)
-        if self.change_driven:
-            self._schedule_scan(interval)
-        else:
-            self._scan_task = self.host.simulator.every(
-                interval, self.scan, label=f"ied-scan:{self.name}"
-            )
+        self._schedule_scan(int(self.config.scan_interval_ms * MS))
         if self.goose_publisher is not None:
             self.goose_publisher.start(self._goose_dataset())
 
     def stop(self) -> None:
         self._running = False
-        if self._scan_task is not None:
-            self._scan_task.stop()
-            self._scan_task = None
         if self._scan_event is not None:
             self._scan_event.cancel()
             self._scan_event = None
@@ -322,7 +310,7 @@ class VirtualIed:
 
     def _mark_inputs_dirty(self) -> None:
         self._inputs_dirty = True
-        if self._running and self.change_driven:
+        if self._running:
             self.wake_count += 1
             self._schedule_scan(0)
 
@@ -357,11 +345,7 @@ class VirtualIed:
         self._update_protection_flags()
         if self.goose_publisher is not None:
             self.goose_publisher.update(self._goose_dataset())
-        if (
-            self.change_driven
-            and self._running
-            and (self._inputs_dirty or self._engine_hot())
-        ):
+        if self._running and (self._inputs_dirty or self._engine_hot()):
             self._schedule_scan(int(self.config.scan_interval_ms * MS))
 
     def _sync_measurements(self) -> None:

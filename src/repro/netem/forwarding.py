@@ -64,7 +64,6 @@ contract.
 
 from __future__ import annotations
 
-import time
 from functools import partial
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Optional
@@ -74,6 +73,7 @@ from repro.netem.frames import EthernetFrame
 from repro.netem.multicast import group_key
 from repro.netem.node import ForwardingState
 from repro.netem.switch import MAC_AGEING_US, Switch
+from repro.telemetry import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.kernel import Simulator
@@ -179,14 +179,19 @@ class ForwardingPlane:
         self.mcast_pruned_sends = 0
         self.mcast_flooded_sends = 0
         self.crossings = 0
-        #: Wall-clock seconds in the forwarding walk (path resolution,
-        #: inline hop semantics, event scheduling) — the netem *transport*
-        #: cost the bench's share-of-wall metric tracks.
-        self.forward_wall_s = 0.0
-        #: Wall-clock seconds in terminal delivery events.  Includes the
-        #: receiving hosts' protocol stacks (everything downstream of
+        #: Wall time in the forwarding walk (path resolution, inline hop
+        #: semantics, event scheduling) — the netem *transport* cost the
+        #: bench's share-of-wall metric tracks.
+        self.forward_clock = Stopwatch()
+        #: Wall time in terminal delivery events.  Includes the receiving
+        #: hosts' protocol stacks (everything downstream of
         #: ``Port.deliver``), so this is endpoint cost, not transport cost.
-        self.deliver_wall_s = 0.0
+        self.deliver_clock = Stopwatch()
+
+    @property
+    def cached_paths(self) -> int:
+        """Compiled path programs currently cached."""
+        return len(self._cache)
 
     def drop_caches(self) -> None:
         """Release every compiled path program (range teardown).
@@ -314,68 +319,65 @@ class ForwardingPlane:
         semantics inline and schedules one kernel event per distinct
         terminal arrival instant.
         """
-        # sgml: lint-ok[det-wallclock] wall accounting
-        started = time.perf_counter()
-        self.sends += 1
-        path = self.resolve(origin_port, frame.dst_mac, frame.appid)
-        mcast = path.mcast
-        if mcast == _MCAST_PRUNED:
-            self.mcast_pruned_sends += 1
-        elif mcast != _MCAST_NONE:
-            self.mcast_flooded_sends += 1
-        flat = path.flat
-        if not flat:  # detached port: Port.send drops silently
-            # sgml: lint-ok[det-wallclock] wall accounting
-            self.forward_wall_s += time.perf_counter() - started
-            return
-        origin_port.tx_frames += 1
-        now = self.simulator.now
-        size8 = frame.size * 8
-        src_mac = frame.src_mac
-        learn = not is_multicast_mac(src_mac)
-        self.crossings += len(flat)
-        #: Arrival time per crossing; −1 marks a dropped/dead branch.
-        if self.state.captures > 0:
-            times = self._walk_ordered(path, frame, now, size8, learn, src_mac)
-        else:
-            times = self._walk(path, now, size8, learn, src_mac)
-        deliveries: dict[int, list] = {}
-        for index, port, chain in path.terminals:
-            arrival = times[index]
-            if arrival < 0:
-                continue
-            bucket = deliveries.get(arrival)
-            if bucket is None:
-                deliveries[arrival] = bucket = []
-            bucket.append((port, chain))
-        if deliveries:
-            flaps = self.state.flaps
-            schedule = self.simulator.schedule
-            pending = self._pending
-            counted: set[int] = set()  # crossings already drop-counted
-            total = 0
-            for arrival, items in deliveries.items():
-                total += len(items)
-                entry = (frame, path, times, now, items, flaps, counted)
-                bucket = pending.get(arrival)
+        with self.forward_clock:
+            self.sends += 1
+            path = self.resolve(origin_port, frame.dst_mac, frame.appid)
+            mcast = path.mcast
+            if mcast == _MCAST_PRUNED:
+                self.mcast_pruned_sends += 1
+            elif mcast != _MCAST_NONE:
+                self.mcast_flooded_sends += 1
+            flat = path.flat
+            if not flat:  # detached port: Port.send drops silently
+                return
+            origin_port.tx_frames += 1
+            now = self.simulator.now
+            size8 = frame.size * 8
+            src_mac = frame.src_mac
+            learn = not is_multicast_mac(src_mac)
+            self.crossings += len(flat)
+            #: Arrival time per crossing; −1 marks a dropped/dead branch.
+            if self.state.captures > 0:
+                times = self._walk_ordered(
+                    path, frame, now, size8, learn, src_mac
+                )
+            else:
+                times = self._walk(path, now, size8, learn, src_mac)
+            deliveries: dict[int, list] = {}
+            for index, port, chain in path.terminals:
+                arrival = times[index]
+                if arrival < 0:
+                    continue
+                bucket = deliveries.get(arrival)
                 if bucket is None:
-                    # First frame for this instant: one kernel event
-                    # flushes every frame that lands on it.
-                    pending[arrival] = [entry]
-                    self.delivery_events += 1
-                    schedule(
-                        arrival - now,
-                        partial(self._flush, arrival),
-                        label="netem:deliver",
-                    )
-                else:
-                    bucket.append(entry)
-                    self.batched_frames += 1
-            self.deliveries += total
-            if path.group is not None:
-                self.groups.count_delivery(path.group, total)
-        # sgml: lint-ok[det-wallclock] wall accounting
-        self.forward_wall_s += time.perf_counter() - started
+                    deliveries[arrival] = bucket = []
+                bucket.append((port, chain))
+            if deliveries:
+                flaps = self.state.flaps
+                schedule = self.simulator.schedule
+                pending = self._pending
+                counted: set[int] = set()  # crossings already drop-counted
+                total = 0
+                for arrival, items in deliveries.items():
+                    total += len(items)
+                    entry = (frame, path, times, now, items, flaps, counted)
+                    bucket = pending.get(arrival)
+                    if bucket is None:
+                        # First frame for this instant: one kernel event
+                        # flushes every frame that lands on it.
+                        pending[arrival] = [entry]
+                        self.delivery_events += 1
+                        schedule(
+                            arrival - now,
+                            partial(self._flush, arrival),
+                            label="netem:deliver",
+                        )
+                    else:
+                        bucket.append(entry)
+                        self.batched_frames += 1
+                self.deliveries += total
+                if path.group is not None:
+                    self.groups.count_delivery(path.group, total)
 
     def _walk(self, path: _Path, now: int, size8: int, learn: bool,
               src_mac: str) -> list[int]:
@@ -495,67 +497,47 @@ class ForwardingPlane:
         bucket is popped *before* executing so a handler that sends a new
         same-instant frame starts a fresh bucket (and a fresh event).
         """
-        # sgml: lint-ok[det-wallclock] wall accounting
-        started = time.perf_counter()
-        entries = self._pending.pop(arrival, ())
-        by_port: dict[int, tuple["Port", list[EthernetFrame]]] = {}
-        current_flaps = self.state.flaps
-        for frame, path, times, sent_at, items, flaps, counted in entries:
-            if current_flaps == flaps:
-                for port, _ in items:
-                    bucket = by_port.get(id(port))
-                    if bucket is None:
-                        by_port[id(port)] = (port, [frame])
-                    else:
-                        bucket[1].append(frame)
-                continue
-            # A link flapped while this frame was in flight: re-run the
-            # hop-by-hop up-state checks (at transmit and at delivery time,
-            # exactly the two instants Link.transmit/_deliver check)
-            # against the flap log, upstream crossing first.
-            flat = path.flat
-            parents = path.parents
-            for port, chain in items:
-                lost = False
-                for index in chain:
-                    link = flat[index][_LINK]
-                    parent = parents[index]
-                    t_tx = sent_at if parent < 0 else times[parent]
-                    if link.was_down_at(t_tx) or link.was_down_at(times[index]):
-                        if index not in counted:
-                            counted.add(index)  # one crossing, one count
-                            link.drop_count += 1
-                        lost = True
-                        break
-                if not lost:
-                    bucket = by_port.get(id(port))
-                    if bucket is None:
-                        by_port[id(port)] = (port, [frame])
-                    else:
-                        bucket[1].append(frame)
-        for port, frames in by_port.values():
-            if len(frames) == 1:
-                port.deliver(frames[0])
-            else:
-                port.deliver_batch(frames)
-        # sgml: lint-ok[det-wallclock] wall accounting
-        self.deliver_wall_s += time.perf_counter() - started
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict[str, float]:
-        """Counters for the bench / ``CyberRange.data_plane_stats``."""
-        return {
-            "sends": self.sends,
-            "path_compiles": self.path_compiles,
-            "cache_hits": self.cache_hits,
-            "delivery_events": self.delivery_events,
-            "deliveries": self.deliveries,
-            "batched_frames": self.batched_frames,
-            "mcast_pruned_sends": self.mcast_pruned_sends,
-            "mcast_flooded_sends": self.mcast_flooded_sends,
-            "crossings": self.crossings,
-            "cached_paths": len(self._cache),
-            "forwarding_rev": self.state.rev,
-            "forward_wall_s": self.forward_wall_s,
-            "deliver_wall_s": self.deliver_wall_s,
-        }
+        with self.deliver_clock:
+            entries = self._pending.pop(arrival, ())
+            by_port: dict[int, tuple["Port", list[EthernetFrame]]] = {}
+            current_flaps = self.state.flaps
+            for frame, path, times, sent_at, items, flaps, counted in entries:
+                if current_flaps == flaps:
+                    for port, _ in items:
+                        bucket = by_port.get(id(port))
+                        if bucket is None:
+                            by_port[id(port)] = (port, [frame])
+                        else:
+                            bucket[1].append(frame)
+                    continue
+                # A link flapped while this frame was in flight: re-run
+                # the hop-by-hop up-state checks (at transmit and at
+                # delivery time, exactly the two instants
+                # Link.transmit/_deliver check) against the flap log,
+                # upstream crossing first.
+                flat = path.flat
+                parents = path.parents
+                for port, chain in items:
+                    lost = False
+                    for index in chain:
+                        link = flat[index][_LINK]
+                        parent = parents[index]
+                        t_tx = sent_at if parent < 0 else times[parent]
+                        if (link.was_down_at(t_tx)
+                                or link.was_down_at(times[index])):
+                            if index not in counted:
+                                counted.add(index)  # one crossing, one count
+                                link.drop_count += 1
+                            lost = True
+                            break
+                    if not lost:
+                        bucket = by_port.get(id(port))
+                        if bucket is None:
+                            by_port[id(port)] = (port, [frame])
+                        else:
+                            bucket[1].append(frame)
+            for port, frames in by_port.values():
+                if len(frames) == 1:
+                    port.deliver(frames[0])
+                else:
+                    port.deliver_batch(frames)

@@ -304,9 +304,3 @@ class MulticastGroupTable:
                 bucket.items(), key=lambda item: item[0] or ""
             )
         }
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "mcast_groups": float(self.group_count),
-            "mcast_members": float(self.member_count),
-        }

@@ -184,21 +184,6 @@ class VirtualNetwork:
         self.plane.drop_caches()
         self.groups.drop_caches()
 
-    def forwarding_stats(self) -> dict[str, float]:
-        """Cut-through plane counters (cache churn, events, wall time)."""
-        stats = self.plane.stats()
-        stats["cut_through"] = 1.0 if self.cut_through else 0.0
-        stats["multicast_prune"] = 1.0 if self.groups.enabled else 0.0
-        stats.update(self.groups.stats())
-        stats["mcast_pruned_hops"] = float(
-            sum(switch.pruned for switch in self.switches.values())
-        )
-        sends = stats["mcast_pruned_sends"] + stats["mcast_flooded_sends"]
-        stats["mcast_prune_ratio"] = (
-            stats["mcast_pruned_sends"] / sends if sends else 0.0
-        )
-        return stats
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

@@ -30,12 +30,12 @@ subscribers exactly once.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.powersim import Network, PowerFlowDiverged, PowerFlowResult
 from repro.powersim.timeseries import TimeSeriesRunner
 from repro.pointdb import PointRegistry, PointType
+from repro.telemetry import Stopwatch
 
 
 class PowerCoupling:
@@ -57,8 +57,8 @@ class PowerCoupling:
         self.last_result: Optional[PowerFlowResult] = None
         #: Changed points delivered by the per-tick flush (accounting).
         self.published_changes = 0
-        #: Wall-clock seconds spent inside :meth:`tick` (bench accounting).
-        self.tick_wall_s = 0.0
+        #: Wall time spent inside :meth:`tick` (bench accounting).
+        self.tick_clock = Stopwatch()
         #: Grid-share cache, valid while the topology revision is unchanged.
         self._grids_rev = -1
         self._grid_active: list[bool] = []
@@ -151,22 +151,17 @@ class PowerCoupling:
     # ------------------------------------------------------------------
     def tick(self, time_s: float) -> Optional[PowerFlowResult]:
         """One co-simulation step at scenario time ``time_s``."""
-        # sgml: lint-ok[det-wallclock] wall accounting
-        started = time.perf_counter()
-        self.tick_count += 1
-        self._apply_commands()
-        try:
-            result = self.runner.step(time_s)
-        except PowerFlowDiverged:
-            self.diverged_ticks += 1
-            # sgml: lint-ok[det-wallclock] wall accounting
-            self.tick_wall_s += time.perf_counter() - started
-            return None
-        self.last_result = result
-        self.publish(result)
-        # sgml: lint-ok[det-wallclock] wall accounting
-        self.tick_wall_s += time.perf_counter() - started
-        return result
+        with self.tick_clock:
+            self.tick_count += 1
+            self._apply_commands()
+            try:
+                result = self.runner.step(time_s)
+            except PowerFlowDiverged:
+                self.diverged_ticks += 1
+                return None
+            self.last_result = result
+            self.publish(result)
+            return result
 
     # ------------------------------------------------------------------
     def _apply_commands(self) -> None:
@@ -193,30 +188,6 @@ class PowerCoupling:
                     continue
                 load.scaling = float(command.value)
                 self.applied_commands += 1
-
-    def stats(self) -> dict[str, float]:
-        """Tick/publish counters merged into ``CyberRange.data_plane_stats``.
-
-        ``tick_wall_s`` is the wall-clock cost of the power-flow side of a
-        range; together with the forwarding plane's ``forward_wall_s`` /
-        ``deliver_wall_s`` (see :mod:`repro.netem.forwarding`) it lets the
-        scalability bench attribute whole-range wall time to power flow
-        versus netem transport versus endpoint processing.
-        """
-        runner = self.runner
-        session = runner.session
-        return {
-            "published_changes": self.published_changes,
-            "ticks": self.tick_count,
-            "tick_wall_s": self.tick_wall_s,
-            "solves": runner.solve_count,
-            "solve_skipped": runner.solve_skipped,
-            "topology_rebuilds": session.topology_rebuilds,
-            "injection_rebuilds": session.injection_rebuilds,
-            "nr_iterations": session.total_iterations,
-            "warm_starts": session.warm_starts,
-            "warm_start_iterations": session.warm_iterations,
-        }
 
     @staticmethod
     def _command_target(name: str, cache: dict, find):

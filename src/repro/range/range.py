@@ -13,10 +13,38 @@ from repro.powersim.timeseries import TimeSeriesRunner
 from repro.range.cosim import PowerCoupling
 from repro.ied import VirtualIed
 from repro.scada import ScadaHmi
+from repro.telemetry import Snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenario.engine import ScenarioRun
     from repro.scenario.scenario import Scenario
+
+
+#: The kind of every :meth:`CyberRange.data_plane_stats` name — the one
+#: declaration :meth:`~repro.telemetry.Snapshot.diff` (counters and wall
+#: subtract, gauges keep their end value) and
+#: :meth:`~repro.telemetry.Snapshot.deterministic` (wall is dropped) read.
+DATA_PLANE_KINDS: dict[str, str] = {
+    **dict.fromkeys((
+        "writes", "changed_writes", "suppressed_writes", "flushes",
+        "notifications", "published_changes", "ticks", "solves",
+        "solve_skipped", "topology_rebuilds", "injection_rebuilds",
+        "nr_iterations", "warm_starts", "warm_start_iterations",
+        "ied_scans", "ied_wakes", "netem_sends", "netem_path_compiles",
+        "netem_cache_hits", "netem_delivery_events", "netem_deliveries",
+        "netem_batched_frames", "netem_mcast_pruned_sends",
+        "netem_mcast_flooded_sends", "netem_crossings",
+        "netem_mcast_pruned_hops",
+    ), Snapshot.COUNTER),
+    **dict.fromkeys((
+        "points", "present", "netem_cached_paths", "netem_forwarding_rev",
+        "netem_cut_through", "netem_multicast_prune", "netem_mcast_groups",
+        "netem_mcast_members", "netem_mcast_prune_ratio",
+    ), Snapshot.GAUGE),
+    **dict.fromkeys((
+        "tick_wall_s", "netem_forward_wall_s", "netem_deliver_wall_s",
+    ), Snapshot.WALL),
+}
 
 
 class RangeError(Exception):
@@ -286,31 +314,67 @@ class CyberRange:
             self._meas_handles[key] = handle
         return registry.get_float(handle)
 
-    def data_plane_stats(self) -> dict[str, float]:
-        """Registry churn + device/solver scheduling counters (bench/report).
+    def data_plane_stats(self) -> Snapshot:
+        """Registry, solver, device and netem accounting (bench/report).
 
         ``suppressed_writes`` vs ``changed_writes`` shows how much of the
         per-tick snapshot the delta layer absorbed; ``ied_scans`` vs
-        ``ied_wakes`` shows how often devices actually ran versus how often
-        a changed input asked them to.  ``solve_skipped`` vs ``solves``
-        shows how many ticks the incremental solver answered from cache;
-        ``warm_start_iterations`` is the Newton-Raphson cost of the
-        warm-started (topology-stable) solves.  The ``netem_*`` keys are
-        the cut-through delivery plane's counters (path-cache churn, kernel
-        events, delivery batching, multicast prune ratios, forwarding vs
-        endpoint wall time — see
-        :meth:`~repro.netem.network.VirtualNetwork.forwarding_stats`).
-        Per-group multicast delivery counts live in
-        :meth:`multicast_group_stats` (string-keyed, so kept out of this
-        flat float map).
+        ``ied_wakes`` how often devices ran versus how often a changed
+        input asked them to; ``solve_skipped`` vs ``solves`` how many ticks
+        the incremental solver answered from cache, and
+        ``warm_start_iterations`` the Newton-Raphson cost of the
+        warm-started solves.  ``tick_wall_s`` (power flow),
+        ``netem_forward_wall_s`` (netem transport) and
+        ``netem_deliver_wall_s`` (endpoint processing) attribute
+        whole-range wall time.  Kinds are declared in
+        :data:`DATA_PLANE_KINDS`.  Per-group multicast delivery counts
+        live in :meth:`multicast_group_stats` (string-keyed).
         """
-        stats = dict(self.pointdb.stats())
-        stats.update(self.coupling.stats())
-        stats["ied_scans"] = sum(i.scan_count for i in self.ieds.values())
-        stats["ied_wakes"] = sum(i.wake_count for i in self.ieds.values())
-        for key, value in self.network.forwarding_stats().items():
-            stats[f"netem_{key}"] = value
-        return stats
+        coupling = self.coupling
+        runner = coupling.runner
+        network = self.network
+        plane = network.plane
+        groups = network.groups
+        pruned = plane.mcast_pruned_sends
+        flooded = plane.mcast_flooded_sends
+        return Snapshot({
+            **self.pointdb.stats(),
+            "published_changes": coupling.published_changes,
+            "ticks": coupling.tick_count,
+            "tick_wall_s": coupling.tick_clock.seconds,
+            "solves": runner.solve_count,
+            "solve_skipped": runner.solve_skipped,
+            "topology_rebuilds": runner.session.topology_rebuilds,
+            "injection_rebuilds": runner.session.injection_rebuilds,
+            "nr_iterations": runner.session.total_iterations,
+            "warm_starts": runner.session.warm_starts,
+            "warm_start_iterations": runner.session.warm_iterations,
+            "ied_scans": sum(i.scan_count for i in self.ieds.values()),
+            "ied_wakes": sum(i.wake_count for i in self.ieds.values()),
+            "netem_sends": plane.sends,
+            "netem_path_compiles": plane.path_compiles,
+            "netem_cache_hits": plane.cache_hits,
+            "netem_delivery_events": plane.delivery_events,
+            "netem_deliveries": plane.deliveries,
+            "netem_batched_frames": plane.batched_frames,
+            "netem_mcast_pruned_sends": pruned,
+            "netem_mcast_flooded_sends": flooded,
+            "netem_crossings": plane.crossings,
+            "netem_cached_paths": plane.cached_paths,
+            "netem_forwarding_rev": plane.state.rev,
+            "netem_forward_wall_s": plane.forward_clock.seconds,
+            "netem_deliver_wall_s": plane.deliver_clock.seconds,
+            "netem_cut_through": 1.0 if network.cut_through else 0.0,
+            "netem_multicast_prune": 1.0 if groups.enabled else 0.0,
+            "netem_mcast_groups": float(groups.group_count),
+            "netem_mcast_members": float(groups.member_count),
+            "netem_mcast_pruned_hops": float(
+                sum(switch.pruned for switch in network.switches.values())
+            ),
+            "netem_mcast_prune_ratio": (
+                pruned / (pruned + flooded) if pruned + flooded else 0.0
+            ),
+        }, DATA_PLANE_KINDS)
 
     def multicast_group_stats(self) -> dict[str, int]:
         """Deliveries per multicast group (``mac|appid`` → frame×receiver).

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -47,6 +46,7 @@ from repro.scenario.catalog import CatalogEntry, generate_catalog
 from repro.scenario.scenario import Scenario
 from repro.scenario.sharding import derive_seed, run_on_range, run_one
 from repro.sgml.modelset import SgmlModelSet
+from repro.telemetry import Stopwatch
 
 
 class CampaignError(Exception):
@@ -332,27 +332,25 @@ class Campaign:
             dry_run=True,
             reuse_range=self.reuse_range,
         )
-        # sgml: lint-ok[det-wallclock] wall accounting
-        start = time.perf_counter()
-        for member in self.scenarios:
-            result = {
-                "name": member.name,
-                "source": member.source,
-                "seed": self.member_seed(member),
-                "valid": True,
-            }
-            try:
-                scenario = Scenario.from_spec(member.spec)
-                result["phase_count"] = len(scenario.phases)
-                result["branch_edges"] = sum(
-                    len(p.edges) for p in scenario.phases
-                )
-            except Exception as exc:
-                result["valid"] = False
-                result["error"] = str(exc)
-            report.results.append(result)
-        # sgml: lint-ok[det-wallclock] wall accounting
-        report.wall_s = time.perf_counter() - start
+        with Stopwatch() as clock:
+            for member in self.scenarios:
+                result = {
+                    "name": member.name,
+                    "source": member.source,
+                    "seed": self.member_seed(member),
+                    "valid": True,
+                }
+                try:
+                    scenario = Scenario.from_spec(member.spec)
+                    result["phase_count"] = len(scenario.phases)
+                    result["branch_edges"] = sum(
+                        len(p.edges) for p in scenario.phases
+                    )
+                except Exception as exc:
+                    result["valid"] = False
+                    result["error"] = str(exc)
+                report.results.append(result)
+        report.wall_s = clock.seconds
         return report
 
     # ------------------------------------------------------------------
@@ -384,24 +382,22 @@ class Campaign:
         pins it).
         """
         workers = self.workers_for(workers, per_run_timeout_s)
-        # sgml: lint-ok[det-wallclock] wall accounting
-        start = time.perf_counter()
-        if self.reuse_range:
-            results = self._run_shared()
-        elif workers == 1:
-            results = [
-                self._job(member, self.model, per_run_timeout_s)()
-                for member in self.scenarios
-            ]
-        else:
-            results = self._run_pool(workers, per_run_timeout_s)
+        with Stopwatch() as clock:
+            if self.reuse_range:
+                results = self._run_shared()
+            elif workers == 1:
+                results = [
+                    self._job(member, self.model, per_run_timeout_s)()
+                    for member in self.scenarios
+                ]
+            else:
+                results = self._run_pool(workers, per_run_timeout_s)
         return CampaignReport.from_results(
             results,
             model=self._model_name(),
             reuse_range=self.reuse_range,
             workers=workers,
-            # sgml: lint-ok[det-wallclock] wall accounting
-            wall_s=time.perf_counter() - start,
+            wall_s=clock.seconds,
         )
 
     def workers_for(
@@ -682,21 +678,19 @@ def run_matrix(
     if not model_sets:
         raise CampaignError("matrix sweep has no model sets")
     matrix = MatrixReport(workers=resolve_workers(workers))
-    # sgml: lint-ok[det-wallclock] wall accounting
-    start = time.perf_counter()
-    for label, model in model_sets:
-        campaign = Campaign.from_catalog(
-            model,
-            families=families,
-            max_sites=max_sites,
-            settle_s=settle_s,
-            default_duration_s=default_duration_s,
-            seed=seed,
-        )
-        report = campaign.run(matrix.workers, per_run_timeout_s)
-        matrix.reports.append(
-            {"model_set": label, "report": report.to_dict()}
-        )
-    # sgml: lint-ok[det-wallclock] wall accounting
-    matrix.wall_s = time.perf_counter() - start
+    with Stopwatch() as clock:
+        for label, model in model_sets:
+            campaign = Campaign.from_catalog(
+                model,
+                families=families,
+                max_sites=max_sites,
+                settle_s=settle_s,
+                default_duration_s=default_duration_s,
+                seed=seed,
+            )
+            report = campaign.run(matrix.workers, per_run_timeout_s)
+            matrix.reports.append(
+                {"model_set": label, "report": report.to_dict()}
+            )
+    matrix.wall_s = clock.seconds
     return matrix

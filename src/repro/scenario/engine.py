@@ -24,12 +24,12 @@ time execute in the order the scenario declared them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.kernel import SECOND, Event
 from repro.pointdb.registry import PointHandle
+from repro.telemetry import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.range import CyberRange
@@ -179,7 +179,7 @@ class ScenarioRun:
         self._observer: Optional[Callable[[dict], None]] = None
         #: Wall-clock run cost, frozen by :meth:`finish`.
         self.wall_s: float = 0.0
-        self._wall_start: Optional[float] = None
+        self._clock = Stopwatch()
 
     def set_observer(self, callback: Optional[Callable[[dict], None]]) -> None:
         """Stream structured progress events to ``callback`` as they happen.
@@ -276,8 +276,7 @@ class ScenarioRun:
                 "invalid scenario graph: " + "; ".join(problems)
             )
         self.started = True
-        # sgml: lint-ok[det-wallclock] wall accounting
-        self._wall_start = time.perf_counter()
+        self._clock.start()
         self._base_us = self.simulator.now
         self._epoch_us = self._base_us
         self._emit("scenario_started", time_s=0.0)
@@ -529,9 +528,8 @@ class ScenarioRun:
         if self.finished:
             return self
         self.finished = True
-        if self._wall_start is not None:
-            # sgml: lint-ok[det-wallclock] wall accounting
-            self.wall_s = time.perf_counter() - self._wall_start
+        if self.started:
+            self.wall_s = self._clock.stop()
         for phase in self.scenario.phases:
             phase.trigger.disarm()
         self._armed.clear()

@@ -42,8 +42,10 @@ import signal
 import time
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
+from repro.range.range import DATA_PLANE_KINDS
 from repro.scenario.scenario import Scenario
 from repro.sgml.modelset import SgmlModelSet
+from repro.telemetry import Snapshot, Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.range import CyberRange
@@ -56,9 +58,9 @@ WALL_CLOCK_FIELDS = frozenset({"wall_s"})
 def strip_wall_clock(result: dict) -> dict:
     """A copy of a per-run result with every wall-clock field removed.
 
-    Drops the top-level :data:`WALL_CLOCK_FIELDS` and the wall-time
-    counters nested in ``data_plane_delta`` (``tick_wall_s`` and every
-    ``*_wall_s`` key) — the only fields allowed to differ between a
+    Drops the top-level :data:`WALL_CLOCK_FIELDS` and the entries of
+    ``data_plane_delta`` that :data:`~repro.range.range.DATA_PLANE_KINDS`
+    declares wall-clock — the only fields allowed to differ between a
     serial and a sharded run of the same scenario.
     """
     cleaned = {
@@ -68,11 +70,9 @@ def strip_wall_clock(result: dict) -> dict:
     }
     delta = cleaned.get("data_plane_delta")
     if isinstance(delta, dict):
-        cleaned["data_plane_delta"] = {
-            key: value
-            for key, value in delta.items()
-            if not key.endswith("_wall_s")
-        }
+        cleaned["data_plane_delta"] = Snapshot(
+            delta, DATA_PLANE_KINDS
+        ).deterministic()
     return cleaned
 
 #: Per-worker cache of parsed model sets, keyed by model directory.  One
@@ -161,32 +161,26 @@ def run_on_range(
         "source": source,
         "seed": int(seed),
     }
-    # sgml: lint-ok[det-wallclock] wall accounting
-    wall_start = time.perf_counter()
-    try:
-        scenario = Scenario.from_spec(spec)
-        cyber_range = acquire_range()
-        stats_before = cyber_range.data_plane_stats()
-        run = cyber_range.run_scenario(
-            scenario, scenario.duration_s or duration_s, settle_s=settle_s
-        )
-        stats_after = cyber_range.data_plane_stats()
-        result.update(run.to_dict())
-        result["branch_path"] = run.branch_path()
-        result["data_plane_delta"] = {
-            key: stats_after[key] - stats_before.get(key, 0)
-            for key in stats_after
-            if isinstance(stats_after[key], (int, float))
-        }
-        if close:
-            cyber_range.close()
-    except Exception as exc:
-        result["passed"] = False
-        result["error"] = str(exc)
-        if isinstance(exc, _RunTimeout):
-            result["timed_out"] = True
-    # sgml: lint-ok[det-wallclock] wall accounting
-    result["wall_s"] = time.perf_counter() - wall_start
+    with Stopwatch() as clock:
+        try:
+            scenario = Scenario.from_spec(spec)
+            cyber_range = acquire_range()
+            before = cyber_range.data_plane_stats()
+            run = cyber_range.run_scenario(
+                scenario, scenario.duration_s or duration_s, settle_s=settle_s
+            )
+            after = cyber_range.data_plane_stats()
+            result.update(run.to_dict())
+            result["branch_path"] = run.branch_path()
+            result["data_plane_delta"] = after.diff(before)
+            if close:
+                cyber_range.close()
+        except Exception as exc:
+            result["passed"] = False
+            result["error"] = str(exc)
+            if isinstance(exc, _RunTimeout):
+                result["timed_out"] = True
+    result["wall_s"] = clock.seconds
     return result
 
 

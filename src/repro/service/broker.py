@@ -224,11 +224,7 @@ class EventBroker:
             "stats",
             {
                 "multicast_groups": cyber_range.multicast_group_stats(),
-                "data_plane": {
-                    key: value
-                    for key, value in cyber_range.data_plane_stats().items()
-                    if isinstance(value, (int, float))
-                },
+                "data_plane": cyber_range.data_plane_stats(),
             },
         )
 

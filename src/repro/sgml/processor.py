@@ -19,7 +19,6 @@ timings (the Fig. 3 bench reports them):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,6 +38,7 @@ from repro.sgml.multicast_gen import MulticastGroupPlan, derive_multicast_plan
 from repro.sgml.network_gen import NetworkPlan, generate_network_plan
 from repro.sgml.powersim_gen import generate_power_network
 from repro.sgml.scada_config import scada_config_to_json
+from repro.telemetry import Stopwatch
 
 
 @dataclass
@@ -282,9 +282,7 @@ class SgmlProcessor:
     # ------------------------------------------------------------------
     @staticmethod
     def _timed(timings: dict[str, float], stage: str, fn):
-        # sgml: lint-ok[det-wallclock] stage timing
-        start = time.perf_counter()
-        result = fn()
-        # sgml: lint-ok[det-wallclock] stage timing
-        timings[stage] = (time.perf_counter() - start) * 1000.0
+        with Stopwatch() as clock:
+            result = fn()
+        timings[stage] = clock.seconds * 1000.0
         return result

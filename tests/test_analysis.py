@@ -97,6 +97,26 @@ class TestDeterminismPass:
         )
         assert findings == []
 
+    def test_telemetry_module_is_the_wall_accounting_allowlist(self):
+        source = """
+            import random
+            from time import perf_counter
+
+            def now():
+                return perf_counter()
+
+            def jitter():
+                return random.random()
+            """
+        # Exactly repro/telemetry.py, and only for det-wallclock.
+        findings, _ = lint_snippet(source, module="repro/telemetry.py")
+        assert rules(findings) == ["det-unseeded-random"]
+        for module in ("repro/netem/forwarding.py", "repro/telemetry_x.py"):
+            findings, _ = lint_snippet(source, module=module)
+            assert sorted(rules(findings)) == [
+                "det-unseeded-random", "det-wallclock",
+            ], module
+
     def test_inline_suppression_on_line_and_line_above(self):
         findings, suppressed = lint_snippet(
             """
@@ -236,7 +256,7 @@ class TestDeterminismPass:
         lint_source_paths([str(REPO / "src" / "repro")], report)
         assert report.findings == []
         assert report.sources > 100
-        assert report.suppressed > 0  # the annotated wall-accounting reads
+        assert report.suppressed > 0  # the kernel's realtime-pacing reads
 
 
 # ---------------------------------------------------------------------------

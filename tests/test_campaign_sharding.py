@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.range.range import DATA_PLANE_KINDS
 from repro.scenario import (
     Campaign,
     CampaignError,
@@ -35,9 +36,12 @@ from repro.scenario.sharding import (
     TEST_HOOK_KEY,
     TEST_HOOKS_ENV,
     differential,
+    run_on_range,
     stable_hash,
     strip_wall_clock,
 )
+from repro.sgml import SgmlProcessor
+from repro.telemetry import Snapshot
 
 GOLDEN = Path(__file__).parent / "data" / "campaign_report_golden.json"
 
@@ -174,6 +178,41 @@ def test_aggregation_is_invariant_to_completion_order(differential_reports):
             wall_s=sharded.wall_s,
         )
         assert report == sharded
+
+
+def test_reuse_range_delta_diffs_counters_and_keeps_gauges(epic_model):
+    """Two runs on one shared range (the reuse-range sweep's per-run unit).
+
+    Each run's ``data_plane_delta`` carries counters as the run's window
+    delta and gauges (levels, ratios, flags) at the range's end-of-run
+    value — a gauge is never subtracted, so the second run on a reused
+    range reads the same prune ratio and cut-through flag as the range.
+    """
+    shared = SgmlProcessor(epic_model, seed=3).compile()
+    shared.start()
+    shared.run_for(1.0)
+    readings = [shared.data_plane_stats()]
+    deltas = []
+    for index in range(2):
+        result = run_on_range(
+            _noop_spec(f"run-{index}"), lambda: shared, 0.0, 1.0, seed=index
+        )
+        assert result["passed"], result
+        deltas.append(result["data_plane_delta"])
+        readings.append(shared.data_plane_stats())
+    for delta, before, after in zip(deltas, readings, readings[1:]):
+        assert set(delta) == set(after)
+        for name, kind in DATA_PLANE_KINDS.items():
+            if kind == Snapshot.GAUGE:
+                assert delta[name] == after[name], name
+            elif kind == Snapshot.COUNTER:
+                assert delta[name] == after[name] - before[name], name
+    for delta in deltas:
+        assert delta["netem_sends"] > 0
+        # The gauges a counter-style subtraction zeroes.
+        assert delta["netem_cut_through"] == 1.0
+        assert delta["netem_mcast_prune_ratio"] == 1.0
+        assert delta["netem_forwarding_rev"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -543,14 +543,14 @@ def test_path_cache_hits_and_recompiles(sim):
     for _ in range(10):
         a.send_ethernet(b.mac, 0x9999, b"x")
         sim.run_for(10 * MS)
-    stats = net.forwarding_stats()
-    assert stats["cut_through"] == 1.0
+    plane = net.plane
+    assert net.cut_through is True
     assert len(got) == 10
     # First send floods (unknown dst) and learns a's MAC (recompile);
     # steady state is pure cache hits.
-    assert stats["cache_hits"] >= 7
-    assert stats["path_compiles"] <= 3
-    assert stats["delivery_events"] == stats["deliveries"] == 10
+    assert plane.cache_hits >= 7
+    assert plane.path_compiles <= 3
+    assert plane.delivery_events == plane.deliveries == 10
 
 
 def test_cut_through_constructor_opt_out(sim):

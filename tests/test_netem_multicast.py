@@ -101,7 +101,7 @@ def test_subscriber_arrivals_identical_nonsubscriber_pruned():
         watch(net, "h3", other_rx)
         net.host("h2").join_l2_group(GROUP_MAC, "cb1")
         publish_burst(net)
-        return sub_rx, other_rx, net.forwarding_stats()
+        return sub_rx, other_rx, net.plane
 
     flood, pruned = both_modes(scenario)
     # The subscriber sees exactly the flood-mode frames, at the exact
@@ -111,10 +111,10 @@ def test_subscriber_arrivals_identical_nonsubscriber_pruned():
     # The non-subscriber saw everything under flood, nothing under pruning.
     assert len(flood[1]) == 8
     assert pruned[1] == []
-    assert flood[2]["mcast_pruned_sends"] == 0
-    assert pruned[2]["mcast_pruned_sends"] == 8
-    assert pruned[2]["mcast_prune_ratio"] == 1.0
-    assert pruned[2]["deliveries"] < flood[2]["deliveries"]
+    assert flood[2].mcast_pruned_sends == 0
+    assert pruned[2].mcast_pruned_sends == 8
+    assert pruned[2].mcast_flooded_sends == 0  # prune ratio 1.0
+    assert pruned[2].deliveries < flood[2].deliveries
 
 
 def test_chain_trunk_shared_leg_pruned():
@@ -156,8 +156,8 @@ def test_zero_subscriber_group_prunes_to_nothing():
         watch(net, name, rx)
     publish_burst(net)
     assert rx == []
-    assert net.forwarding_stats()["deliveries"] == 0
-    assert net.forwarding_stats()["mcast_pruned_sends"] == 8
+    assert net.plane.deliveries == 0
+    assert net.plane.mcast_pruned_sends == 8
 
 
 def test_unregistered_multicast_mac_still_floods():
@@ -173,7 +173,7 @@ def test_unregistered_multicast_mac_still_floods():
                 "01:0c:cd:01:00:99", 0x88B8, bytes([index]), appid="cb9"
             )
             sim.run_for(20 * MS)
-        return rx, net.forwarding_stats()["mcast_flooded_sends"]
+        return rx, net.plane.mcast_flooded_sends
 
     flood, pruned = both_modes(scenario)
     assert pruned[0] == flood[0]
@@ -329,8 +329,7 @@ def test_mid_run_join_invalidates_cached_paths():
     net.host("h2").join_l2_group(GROUP_MAC, "cb1")
     publish_burst(net, count=5)  # caches the pruned path program
     assert len(early_rx) == 5 and late_rx == []
-    stats = net.forwarding_stats()
-    assert stats["cache_hits"] > 0
+    assert net.plane.cache_hits > 0
     # h3 joins mid-run: the cached program predates the subscription and
     # must be recompiled, not served stale.
     net.host("h3").join_l2_group(GROUP_MAC, "cb1")
@@ -395,7 +394,7 @@ def test_goose_subscriber_joins_and_batched_decode():
     assert sub.values == [False, 20]
     assert len(updates) == 2  # initial state + the change
     assert bystander_rx == []  # pruned: the flood is dead
-    assert net.forwarding_stats()["mcast_flooded_sends"] == 0
+    assert net.plane.mcast_flooded_sends == 0
 
 
 def test_mcast_prune_constructor_opt_out(sim):

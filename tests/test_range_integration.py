@@ -280,6 +280,37 @@ def test_epic_change_driven_ieds_idle_when_grid_steady(running_epic):
     assert cr.breaker_state("CB_SH1") is False
 
 
+#: The ``data_plane_stats`` names, in order: the campaign report's
+#: ``data_plane_delta``, the ``sgml serve`` ``/stats`` payload and the
+#: perf harness all key on them.
+DATA_PLANE_NAMES = (
+    "points", "present", "writes", "changed_writes", "suppressed_writes",
+    "flushes", "notifications", "published_changes", "ticks",
+    "tick_wall_s", "solves", "solve_skipped", "topology_rebuilds",
+    "injection_rebuilds", "nr_iterations", "warm_starts",
+    "warm_start_iterations", "ied_scans", "ied_wakes", "netem_sends",
+    "netem_path_compiles", "netem_cache_hits", "netem_delivery_events",
+    "netem_deliveries", "netem_batched_frames", "netem_mcast_pruned_sends",
+    "netem_mcast_flooded_sends", "netem_crossings", "netem_cached_paths",
+    "netem_forwarding_rev", "netem_forward_wall_s", "netem_deliver_wall_s",
+    "netem_cut_through", "netem_multicast_prune", "netem_mcast_groups",
+    "netem_mcast_members", "netem_mcast_pruned_hops",
+    "netem_mcast_prune_ratio",
+)
+
+
+def test_data_plane_stats_names_are_pinned(running_epic):
+    from repro.range.range import DATA_PLANE_KINDS
+
+    stats = running_epic.data_plane_stats()
+    assert tuple(stats) == DATA_PLANE_NAMES
+    assert set(DATA_PLANE_KINDS) == set(DATA_PLANE_NAMES)
+    wall = {"tick_wall_s", "netem_forward_wall_s", "netem_deliver_wall_s"}
+    assert tuple(stats.deterministic()) == tuple(
+        name for name in DATA_PLANE_NAMES if name not in wall
+    )
+
+
 def test_epic_scenario_event_gen_loss(epic_model):
     """A scenario-driven generator loss shifts output to the slack unit."""
     from repro.powersim.timeseries import ScenarioEvent

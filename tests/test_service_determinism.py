@@ -16,7 +16,7 @@ from repro.kernel import SECOND
 from repro.scenario.engine import ScenarioRun
 from repro.scenario.scenario import Scenario
 from repro.service import EventBroker, RangeSession
-from repro.sgml import SgmlProcessor
+from repro.sgml import SgmlModelSet, SgmlProcessor
 
 RUN_S = 6.0
 SEED = 7
@@ -202,3 +202,36 @@ def test_paused_session_slices_match_run_for(epic_model):
 
     assert json.dumps(history).encode() == json.dumps(golden_history).encode()
     assert _strip_wall(report) == _strip_wall(golden_report)
+
+
+def test_data_plane_snapshots_do_not_perturb_the_run(scaleout_model_dir):
+    """Telemetry is read-only: a scale-out run that snapshots and diffs
+    ``data_plane_stats()`` every 100 simulated ms ends with the same
+    kernel digest, point history and deterministic counters as the same
+    run without snapshots."""
+
+    def run(snapshots: bool):
+        model = SgmlModelSet.from_directory(scaleout_model_dir)
+        cyber_range = SgmlProcessor(model, seed=SEED).compile()
+        history = _record_history(cyber_range)
+        cyber_range.start()
+        windows = []
+        before = cyber_range.data_plane_stats() if snapshots else None
+        for _ in range(int(RUN_S * 10)):
+            cyber_range.run_for(0.1)
+            if snapshots:
+                after = cyber_range.data_plane_stats()
+                windows.append(after.diff(before))
+                before = after
+        digest = cyber_range.simulator.digest()
+        final = dict(cyber_range.data_plane_stats().deterministic())
+        cyber_range.close()
+        return digest, history, final, windows
+
+    digest, history, final, _ = run(snapshots=False)
+    digest_s, history_s, final_s, windows = run(snapshots=True)
+    assert digest_s == digest
+    assert json.dumps(history_s) == json.dumps(history)
+    assert final_s == final
+    assert len(windows) == int(RUN_S * 10)
+    assert sum(w["netem_sends"] for w in windows) > 0
